@@ -6,8 +6,13 @@ the emitted bytes).  Exact rationals are serialized as "num/den"; floats use
 scientific notation with 12 significant digits.  Replicas map to rng streams
 by index, so outputs are byte-identical for any --workers value.
 
-Exit codes: 0 success, 1 a runtime self-check failed, 2 usage error or an
-exact computation refused for exceeding its budget.
+Only subcommands that draw random numbers take --seed, and only those that
+run replicas take --replicas and --workers; deterministic ones take neither
+and echo neither in the manifest.
+
+Exit codes: 0 success, 1 a runtime self-check failed, 2 usage error (a bad
+value, a zero denominator, an unreadable file) or an exact computation
+refused for exceeding its budget.
 """
 
 from __future__ import annotations
@@ -306,9 +311,11 @@ def _do_lattice_embed2d(args):
     field = lat.sample_field(p, width, height, rng.stream(0))
     if args.word is not None:
         w = _word_arg(args.word)
-    else:
+    elif args.word_length is not None:
         w = make_word("bernoulli", args.word_length, p=0.5,
                       rng=rng.stream(1))
+    else:
+        raise ValueError("give --word or --word-length")
     path = lat.block_percolation(field, args.R, args.depth)
     if path is None:
         row = {"found": "false", "block_path": "[]", "rows": "[]",
@@ -370,10 +377,14 @@ def _read_pmf_csv(path: str) -> env.JointPmf:
     width = None
     with open(path, "r", encoding="ascii", newline="") as fh:
         for rec in csv.DictReader(fh):
-            o = tuple(int(ch) for ch in rec["outcome"])
+            try:
+                o = tuple(int(ch) for ch in rec["outcome"])
+                pr = Fraction(int(rec["numerator"]), int(rec["denominator"]))
+            except (KeyError, TypeError):    # missing column or short row
+                raise ValueError("pmf rows need outcome, numerator and "
+                                 "denominator") from None
             width = len(o) if width is None else width
-            probs[o] = Fraction(int(rec["numerator"]),
-                                int(rec["denominator"]))
+            probs[o] = pr
     if width is None:
         raise ValueError("pmf file has no rows")
     labels = tuple("v%d" % i for i in range(width))
@@ -397,14 +408,6 @@ def _do_env_kwise(args):
 
 # ------------------------------------------------------------- plumbing ----
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--replicas", type=int, default=10000)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="clairvoyant",
@@ -413,9 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     groups = top.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, fn, **defaults):
+    def leaf(group, name, fn, seed=False, replicas=False):
+        """A subcommand; --seed where it draws, --replicas and --workers
+        (and --seed) where it runs replicas."""
         p = group.add_parser(name)
-        _common_flags(p)
+        p.add_argument("--out", default=None,
+                       help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if seed or replicas:
+            p.add_argument("--seed", type=int, default=0, help="master seed")
+        if replicas:
+            p.add_argument("--replicas", type=int, default=10000)
+            p.add_argument("--workers", type=int, default=1)
         p.set_defaults(handler=fn)
         return p
 
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--max-pairs", type=int, default=1 << 16)
-    p = leaf(g, "mc", _do_embed_mc)
+    p = leaf(g, "mc", _do_embed_mc, replicas=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", default="random",
@@ -455,19 +467,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-y", type=float, default=0.5)
 
     g = groups.add_parser("schedule").add_subparsers(dest="op", required=True)
-    p = leaf(g, "survive", _do_schedule_survive)
+    p = leaf(g, "survive", _do_schedule_survive, seed=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--x", default=None, help="comma-separated walk values")
     p.add_argument("--y", default=None)
-    p = leaf(g, "curve", _do_schedule_curve)
+    p = leaf(g, "curve", _do_schedule_curve, replicas=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--depths", required=True)
-    p = leaf(g, "coupling", _do_schedule_coupling)
+    p = leaf(g, "coupling", _do_schedule_coupling, replicas=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p = leaf(g, "undirected", _do_schedule_undirected)
+    p = leaf(g, "undirected", _do_schedule_undirected, replicas=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--box", type=int, required=True)
     p = leaf(g, "kwise", _do_schedule_kwise)
@@ -486,15 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(g, "cert", _do_compat_cert)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p = leaf(g, "mc", _do_compat_mc)
+    p = leaf(g, "mc", _do_compat_mc, replicas=True)
     p.add_argument("--p", required=True, help="density or comma list")
     p.add_argument("--n", required=True, help="horizon or comma list")
 
     g = groups.add_parser("lattice").add_subparsers(dest="op", required=True)
-    p = leaf(g, "blocks", _do_lattice_blocks)
+    p = leaf(g, "blocks", _do_lattice_blocks, replicas=True)
     p.add_argument("--p", required=True)
     p.add_argument("--R", type=int, required=True)
-    p = leaf(g, "embed2d", _do_lattice_embed2d)
+    p = leaf(g, "embed2d", _do_lattice_embed2d, seed=True)
     p.add_argument("--p", default="1/2")
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -507,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin", required=True, help="row,col (0-based)")
     p.add_argument("--word", required=True)
     p.add_argument("--budget", type=int, default=None)
-    p = leaf(g, "abscan", _do_lattice_abscan)
+    p = leaf(g, "abscan", _do_lattice_abscan, replicas=True)
     p.add_argument("--p", default="1/2")
     p.add_argument("--box", type=int, required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
 
     g = groups.add_parser("env").add_subparsers(dest="op", required=True)
-    p = leaf(g, "column", _do_env_column)
+    p = leaf(g, "column", _do_env_column, replicas=True)
     p.add_argument("--mu", required=True, help="v1:w1,v2:w2,...")
     p.add_argument("--box", type=int, required=True)
     p = leaf(g, "kwise", _do_env_kwise)
@@ -581,8 +593,11 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except ZeroDivisionError as exc:
+        print("error: zero denominator: %s" % exc, file=sys.stderr)
         return 2
     except PropertyViolation as exc:
         print("property violation: %s" % exc, file=sys.stderr)

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import run_chunked
+from .runner import PerReplica, run_chunked
 from .stats import Estimate
-from .words import Word
+from .words import Word, pack_mask
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,8 @@ def compatible_prefix(x: Word, y: Word) -> DeletionWitness | None:
     else:
         kept_x.extend(range(ai + 1, nx + 1))
     witness = DeletionWitness(tuple(kept_x), tuple(kept_y))
-    assert validate_deletion(witness, x, y)
+    if not validate_deletion(witness, x, y):
+        raise PropertyViolation("compatible_prefix produced an invalid witness")
     return witness
 
 
@@ -197,22 +197,11 @@ def majority_certificate(x: Word, y: Word) -> MajorityCertificate | None:
     return MajorityCertificate(int(hits[0]) + 1)
 
 
-def _pack(mask: np.ndarray) -> int:
-    if mask.size == 0:
-        return 0
-    packed = np.packbits(mask.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _psi_chunk(lo: int, hi: int, p: float, n: int, rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.uint8)
-    for k in range(lo, hi):
-        gx = rng.stream(2 * k).generator()
-        gy = rng.stream(2 * k + 1).generator()
-        xbits = _pack(gx.random(n) < p)
-        ybits = _pack(gy.random(n) < p)
-        out[k - lo] = _compatible_bits(xbits, n, ybits, n)
-    return out
+def _psi_replica(spec: RngSpec, p: float, n: int) -> bool:
+    k = spec.stream_id
+    xbits = pack_mask(spec.stream(2 * k).generator().random(n) < p)
+    ybits = pack_mask(spec.stream(2 * k + 1).generator().random(n) < p)
+    return _compatible_bits(xbits, n, ybits, n)
 
 
 def psi_mc(p: float, n: int, replicas: int, rng: RngSpec,
@@ -228,6 +217,6 @@ def psi_mc(p: float, n: int, replicas: int, rng: RngSpec,
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    fn = partial(_psi_chunk, p=p, n=n, rng=rng)
+    fn = PerReplica(_psi_replica, rng, p=p, n=n)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)

@@ -19,16 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import run_chunked
+from .runner import PerReplica, run_chunked
 from .stats import Estimate
-from .words import Word, alternating_word
+from .words import Word, pack_mask
 
 _ENUM_CHUNK_BITS = 22
 
@@ -57,18 +56,31 @@ def validate_embedding(witness: EmbeddingWitness, v: Word, y: Word) -> bool:
     return True
 
 
-def _letter_masks(y: Word) -> tuple[int, int]:
-    # bit m (1-based position) set iff y_m is a 1 (resp. 0)
-    ones = y.bits << 1
-    zeros = ~ones & ((1 << (len(y) + 1)) - 2)
-    return ones, zeros
-
-
 def _spread(frontier: int, M: int) -> int:
     s = 0
     for d in range(1, M + 1):
         s |= frontier << d
     return s
+
+
+def _frontiers(vbits: int, n: int, ybits: int, L: int,
+               M: int) -> list[int] | None:
+    """Forward sweep for the packed word v (n letters) into y (L letters).
+
+    Frontier i has bit m set iff v_1..v_i M-embeds into y with v_i at
+    1-based position m; frontier 0 is the virtual start m_0 = 0.  Returns
+    all n + 1 frontiers, or None as soon as one is empty.
+    """
+    ones = ybits << 1
+    zeros = ~ones & ((1 << (L + 1)) - 2)
+    r = 1
+    frontiers = [r]
+    for i in range(n):
+        r = _spread(r, M) & (ones if (vbits >> i) & 1 else zeros)
+        if r == 0:
+            return None
+        frontiers.append(r)
+    return frontiers
 
 
 def embed_decide(v: Word, y: Word, M: int) -> EmbeddingWitness | None:
@@ -77,14 +89,9 @@ def embed_decide(v: Word, y: Word, M: int) -> EmbeddingWitness | None:
         raise ValueError("gap bound M must be >= 1")
     if len(v) == 0:
         return EmbeddingWitness((), M)
-    ones, zeros = _letter_masks(y)
-    frontiers = [1]  # bit 0 is the virtual start m_0 = 0
-    r = 1
-    for a in v:
-        r = _spread(r, M) & (ones if a else zeros)
-        if r == 0:
-            return None
-        frontiers.append(r)
+    frontiers = _frontiers(v.bits, len(v), y.bits, len(y), M)
+    if frontiers is None:
+        return None
     # walk the frontiers backwards, taking the lowest admissible position
     m = (frontiers[-1] & -frontiers[-1]).bit_length() - 1
     positions = [m]
@@ -104,11 +111,10 @@ def embed_count(v: Word, y: Word, M: int) -> int:
     """The number of distinct M-embedding position sequences of v into y."""
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
-    ones, zeros = _letter_masks(y)
+    ys = y.letters()
     L = len(y)
     counts = [1] + [0] * L
     for a in v:
-        mask = ones if a else zeros
         nxt = [0] * (L + 1)
         for pos in range(L + 1):
             c = counts[pos]
@@ -118,7 +124,7 @@ def embed_count(v: Word, y: Word, M: int) -> int:
                 q = pos + d
                 if q > L:
                     break
-                if (mask >> q) & 1:
+                if ys[q - 1] == a:
                     nxt[q] += c
         counts = nxt
     return sum(counts)
@@ -279,7 +285,7 @@ def mean_embeddings(n: int, M: int) -> Fraction:
     """E(number of M-embeddings of a random n-word into a random target).
 
     Computed by counting admissible position sequences with a line DP and
-    weighting each by 2**-n, then asserted against the closed form (M/2)**n.
+    weighting each by 2**-n, then checked against the closed form (M/2)**n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -294,7 +300,8 @@ def mean_embeddings(n: int, M: int) -> Fraction:
                 nxt[q] = nxt.get(q, 0) + c
         counts = nxt
     mean = Fraction(sum(counts.values()), 2**n)
-    assert mean == Fraction(M, 2) ** n
+    if mean != Fraction(M, 2) ** n:
+        raise PropertyViolation("mean_embeddings disagrees with (M/2)**n")
     return mean
 
 
@@ -372,55 +379,31 @@ def moment_report(n: int, M: int, max_pairs: int = 1 << 16) -> MomentReport:
     )
 
 
-def _decide_bits(vbits: int, n: int, ybits: int, L: int, M: int) -> bool:
-    ones = ybits << 1
-    zeros = ~ones & ((1 << (L + 1)) - 2)
-    r = 1
-    for i in range(n):
-        r = _spread(r, M) & (ones if (vbits >> i) & 1 else zeros)
-        if r == 0:
-            return False
-    return True
-
-
-def _pack_bits(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _fixed_word_chunk(lo: int, hi: int, vbits: int, n: int, M: int,
-                      p_y: float, rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.uint8)
+def _fixed_word_replica(spec: RngSpec, vbits: int, n: int, M: int,
+                        p_y: float) -> bool:
     L = M * n
-    for k in range(lo, hi):
-        g = rng.stream(k).generator()
-        ybits = _pack_bits(g.random(L) < p_y)
-        out[k - lo] = _decide_bits(vbits, n, ybits, L, M)
-    return out
+    ybits = pack_mask(spec.generator().random(L) < p_y)
+    return _frontiers(vbits, n, ybits, L, M) is not None
 
 
-def _survival_chunk(lo: int, hi: int, n: int, M: int, p_x: float, p_y: float,
-                    rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.uint8)
+def _survival_replica(spec: RngSpec, n: int, M: int, p_x: float,
+                      p_y: float) -> bool:
     L = M * n
-    for k in range(lo, hi):
-        g = rng.stream(k).generator()
-        draws = g.random(n + L)
-        vbits = _pack_bits(draws[:n] < p_x)
-        ybits = _pack_bits(draws[n:] < p_y)
-        out[k - lo] = _decide_bits(vbits, n, ybits, L, M)
-    return out
+    draws = spec.generator().random(n + L)
+    vbits = pack_mask(draws[:n] < p_x)
+    ybits = pack_mask(draws[n:] < p_y)
+    return _frontiers(vbits, n, ybits, L, M) is not None
 
 
 def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
                   p_y: float = 0.5, workers: int = 1) -> Estimate:
     """Monte Carlo estimate of P(v M-embeds into an iid Bernoulli target)."""
+    if M < 1:
+        raise ValueError("gap bound M must be >= 1")
     if not 0.0 <= p_y <= 1.0:
         raise ValueError("p_y must lie in [0, 1]")
-    fn = partial(_fixed_word_chunk, vbits=v.bits, n=len(v), M=M, p_y=p_y,
-                 rng=rng)
+    fn = PerReplica(_fixed_word_replica, rng, vbits=v.bits, n=len(v), M=M,
+                    p_y=p_y)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 
@@ -431,17 +414,14 @@ def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
 
     X has iid Bernoulli(p_x) letters and Y iid Bernoulli(p_y) letters.
     """
+    if M < 1:
+        raise ValueError("gap bound M must be >= 1")
     for p in (p_x, p_y):
         if not 0.0 <= p <= 1.0:
             raise ValueError("letter densities must lie in [0, 1]")
-    fn = partial(_survival_chunk, n=n, M=M, p_x=p_x, p_y=p_y, rng=rng)
+    fn = PerReplica(_survival_replica, rng, n=n, M=M, p_x=p_x, p_y=p_y)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
-
-
-def alternating_reference(n: int, M: int) -> Fraction:
-    """v_n for the alternating word via the recursion (convenience)."""
-    return vn_recursion(M, n)[n]
 
 
 __all__ = [
@@ -463,6 +443,4 @@ __all__ = [
     "moment_report",
     "embed_prob_mc",
     "embed_survival_mc",
-    "alternating_reference",
-    "alternating_word",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, product
 from typing import Mapping
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .rng import RngSpec
-from .runner import run_chunked
+from .runner import PerReplica, run_chunked
 from .stats import Estimate
 
 _CROSS_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -183,18 +182,13 @@ def crosses_horizontally(config: np.ndarray) -> bool:
     return bool(left & right)
 
 
-def _column_chunk(lo: int, hi: int, mu: FiniteDistribution, n: int,
-                  rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.uint8)
-    for k in range(lo, hi):
-        env = sample_environment(mu, n, rng.stream(k))
-        out[k - lo] = crosses_horizontally(env.config)
-    return out
+def _column_replica(spec: RngSpec, mu: FiniteDistribution, n: int) -> bool:
+    return crosses_horizontally(sample_environment(mu, n, spec).config)
 
 
 def column_percolation_mc(mu: FiniteDistribution, n: int, replicas: int,
                           rng: RngSpec, workers: int = 1) -> Estimate:
     """P(horizontal crossing of the n x n box under environment mu)."""
-    fn = partial(_column_chunk, mu=mu, n=n, rng=rng)
+    fn = PerReplica(_column_replica, rng, mu=mu, n=n)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import PropertyViolation
 from .rng import RngSpec
-from .runner import run_chunked
+from .runner import PerReplica, run_chunked
 from .stats import Estimate
 from .words import Word, alternating_word, constant_word
 
@@ -368,23 +368,15 @@ class AbScanReport:
 _AB_CODE = {Visibility.ABSENT: 0, Visibility.FOUND: 1, Visibility.EXHAUSTED: 2}
 
 
-def _ab_chunk(lo: int, hi: int, p: float, box: int, budget: int,
-              rng: RngSpec) -> np.ndarray:
+def _ab_replica(spec: RngSpec, p: float, box: int, budget: int,
+                words: tuple[Word, ...]) -> tuple[int, ...]:
     side = 2 * box + 1
-    origin = (box, box)
-    alt = alternating_word(box)
-    const = constant_word(box)
-    out = np.empty((hi - lo, 2), dtype=np.uint8)
-    for k in range(lo, hi):
-        g = rng.stream(k).generator()
-        cells = (g.random((side, side)) < p).astype(np.uint8)
-        out[k - lo, 0] = _AB_CODE[
-            visible_word(cells, LatticeKind.TRIANGULAR, origin, alt, budget)
-        ]
-        out[k - lo, 1] = _AB_CODE[
-            visible_word(cells, LatticeKind.TRIANGULAR, origin, const, budget)
-        ]
-    return out
+    cells = (spec.generator().random((side, side)) < p).astype(np.uint8)
+    return tuple(
+        _AB_CODE[visible_word(cells, LatticeKind.TRIANGULAR, (box, box), w,
+                              budget)]
+        for w in words
+    )
 
 
 def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
@@ -394,9 +386,12 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
     Word length equals the box radius.  Budget-exhausted searches count as
     not visible in the estimates and are tallied separately.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     if box < 1:
         raise ValueError("box radius must be >= 1")
-    fn = partial(_ab_chunk, p=p, box=box, budget=budget, rng=rng)
+    fn = PerReplica(_ab_replica, rng, p=p, box=box, budget=budget,
+                    words=(alternating_word(box), constant_word(box)))
     codes = run_chunked(fn, replicas, workers)
     return AbScanReport(
         p=p,
@@ -409,18 +404,18 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
     )
 
 
-def _block_chunk(lo: int, hi: int, p: float, R: int, rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.uint8)
-    for k in range(lo, hi):
-        g = rng.stream(k).generator()
-        block = g.random((R, R)) < p
-        out[k - lo] = bool(block.any() and (~block).any())
-    return out
+def _block_replica(spec: RngSpec, p: float, R: int) -> bool:
+    block = spec.generator().random((R, R)) < p
+    return bool(block.any() and (~block).any())
 
 
 def block_good_mc(p: float, R: int, replicas: int, rng: RngSpec,
                   workers: int = 1) -> Estimate:
     """Empirical frequency of good blocks among freshly sampled R x R blocks."""
-    fn = partial(_block_chunk, p=p, R=R, rng=rng)
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    fn = PerReplica(_block_replica, rng, p=p, R=R)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)

@@ -1,9 +1,18 @@
 """Replica scheduling for Monte Carlo runs.
 
-Work is split into contiguous replica ranges, one per worker.  Because every
-replica draws from its own counter-based stream, the concatenated result is
-a pure function of (master seed, replica count) and does not depend on the
-worker count.
+Every Monte Carlo estimate in the package is a loop over replicas, and this
+module owns that loop.  A model supplies a one-replica kernel
+
+    kernel(spec: RngSpec, **params) -> row
+
+that draws all of its randomness from ``spec`` and returns one row: a bool,
+an int, or a tuple of them.  ``PerReplica(kernel, rng, **params)`` is the
+chunk function that runs the kernel for replicas ``lo <= k < hi`` with
+``spec = rng.stream(k)`` and stacks the rows into one array, and
+``run_chunked`` evaluates a chunk function over contiguous replica ranges,
+one per worker.  Because replica k always draws from stream k, the
+concatenated result is a pure function of (master seed, replica count) and
+does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +22,27 @@ from typing import Callable
 
 import numpy as np
 
+from .rng import RngSpec
+
 ChunkFn = Callable[[int, int], np.ndarray]
+
+
+class PerReplica:
+    """Chunk function of a one-replica kernel: row k is func(rng.stream(k)).
+
+    The kernel sits in ``func``, the attribute name `functools.partial`
+    uses, so tools that look through partials see the kernel's module.
+    Instances pickle whenever the kernel is a module-level function.
+    """
+
+    def __init__(self, func: Callable, rng: RngSpec, **params):
+        self.func = func
+        self.rng = rng
+        self.params = params
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        return np.array([self.func(self.rng.stream(k), **self.params)
+                         for k in range(lo, hi)])
 
 
 def chunk_bounds(replicas: int, workers: int) -> list[tuple[int, int]]:

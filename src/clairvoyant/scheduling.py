@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .environment import JointPmf
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import run_chunked
+from .runner import PerReplica, run_chunked
 from .stats import Estimate
 from .words import IntSequence
 
@@ -146,13 +145,8 @@ def directed_survival(grid: ScheduleGrid, depth: int) -> PathWitness | None:
     return witness
 
 
-def _curve_chunk(lo: int, hi: int, M: int, max_depth: int,
-                 rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.int64)
-    for k in range(lo, hi):
-        grid = sample_grid(M, max_depth, rng.stream(k))
-        out[k - lo] = survival_depth(grid)
-    return out
+def _curve_replica(spec: RngSpec, M: int, max_depth: int) -> int:
+    return survival_depth(sample_grid(M, max_depth, spec))
 
 
 def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
@@ -164,7 +158,7 @@ def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
     """
     if not depths or any(d < 0 for d in depths):
         raise ValueError("depths must be non-negative")
-    fn = partial(_curve_chunk, M=M, max_depth=max(depths), rng=rng)
+    fn = PerReplica(_curve_replica, rng, M=M, max_depth=max(depths))
     reached = run_chunked(fn, replicas, workers)
     return [Estimate.from_samples(reached >= d, rng) for d in depths]
 
@@ -184,30 +178,27 @@ class CouplingReport:
     big_survivals: int
 
 
-def _coupling_chunk(lo: int, hi: int, M: int, k: int, depth: int,
-                    rng: RngSpec) -> np.ndarray:
-    out = np.empty((hi - lo, 3), dtype=np.uint8)
+def _coupling_replica(spec: RngSpec, M: int, k: int,
+                      depth: int) -> tuple[bool, bool, bool]:
+    """(superset broken, reduced grid survives, big grid survives)."""
     big_m = k * M
-    for r in range(lo, hi):
-        g = rng.stream(r).generator()
-        xb = g.integers(1, big_m + 1, size=depth + 1)
-        yb = g.integers(1, big_m + 1, size=depth + 1)
-        xr = (xb - 1) % M + 1
-        yr = (yb - 1) % M + 1
-        # reduced-open at (i,j) must imply big-open there
-        bad = (xr[:, None] != yr[None, :]) & ~(xb[:, None] != yb[None, :])
-        big = ScheduleGrid(
-            IntSequence(tuple(int(v) for v in xb), big_m),
-            IntSequence(tuple(int(v) for v in yb), big_m),
-        )
-        red = ScheduleGrid(
-            IntSequence(tuple(int(v) for v in xr), M),
-            IntSequence(tuple(int(v) for v in yr), M),
-        )
-        out[r - lo, 0] = bool(bad.any())
-        out[r - lo, 1] = survival_depth(red) >= depth
-        out[r - lo, 2] = survival_depth(big) >= depth
-    return out
+    g = spec.generator()
+    xb = g.integers(1, big_m + 1, size=depth + 1)
+    yb = g.integers(1, big_m + 1, size=depth + 1)
+    xr = (xb - 1) % M + 1
+    yr = (yb - 1) % M + 1
+    # reduced-open at (i,j) must imply big-open there
+    bad = (xr[:, None] != yr[None, :]) & ~(xb[:, None] != yb[None, :])
+    big = ScheduleGrid(
+        IntSequence(tuple(int(v) for v in xb), big_m),
+        IntSequence(tuple(int(v) for v in yb), big_m),
+    )
+    red = ScheduleGrid(
+        IntSequence(tuple(int(v) for v in xr), M),
+        IntSequence(tuple(int(v) for v in yr), M),
+    )
+    return (bool(bad.any()), survival_depth(red) >= depth,
+            survival_depth(big) >= depth)
 
 
 def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
@@ -220,7 +211,9 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    fn = partial(_coupling_chunk, M=M, k=k, depth=depth, rng=rng)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    fn = PerReplica(_coupling_replica, rng, M=M, k=k, depth=depth)
     res = run_chunked(fn, samples, workers)
     superset_bad = int(res[:, 0].sum())
     ordering_bad = int((res[:, 1] & ~res[:, 2]).sum())
@@ -269,19 +262,14 @@ def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
     return False
 
 
-def _undirected_chunk(lo: int, hi: int, M: int, box: int,
-                      rng: RngSpec) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.uint8)
-    for k in range(lo, hi):
-        grid = sample_grid(M, box, rng.stream(k))
-        out[k - lo] = undirected_escape(grid, box)
-    return out
+def _escape_replica(spec: RngSpec, M: int, box: int) -> bool:
+    return undirected_escape(sample_grid(M, box, spec), box)
 
 
 def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
                   workers: int = 1) -> Estimate:
     """Escape frequency of the undirected open cluster from the origin."""
-    fn = partial(_undirected_chunk, M=M, box=box, rng=rng)
+    fn = PerReplica(_escape_replica, rng, M=M, box=box)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 

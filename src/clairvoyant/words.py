@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .rng import RngSpec
 
 
@@ -81,6 +83,12 @@ class Word:
         if not 0 <= k <= self.n:
             raise ValueError("prefix length out of range")
         return Word(self.bits & ((1 << k) - 1), k)
+
+
+def pack_mask(mask: np.ndarray) -> int:
+    """A 1-D bool array packed LSB-first into an int, the layout of Word.bits."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
+                          "little")
 
 
 @dataclass(frozen=True)
@@ -163,9 +171,7 @@ def bernoulli_word(n: int, p: float, rng: RngSpec) -> Word:
     """n iid letters, P(letter = 1) = p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    g = rng.generator()
-    draws = g.random(n) < p
-    return Word.from_letters(int(b) for b in draws)
+    return Word(pack_mask(rng.generator().random(n) < p), n)
 
 
 def make_word(kind: str, n: int, *, pattern: str | None = None,

@@ -151,7 +151,7 @@ def test_a07_monte_carlo_matches_recursion(request):
     with criterion(request, "A07", "10^5 replicas reproduce the n = 20, M = 3 "
                    "alternating probability within three standard errors"):
         rng = RngSpec(1)
-        truth = float(cv.alternating_reference(20, 3))
+        truth = float(cv.vn_recursion(3, 20)[20])
         est = cv.embed_prob_mc(cv.alternating_word(20), 3, 100_000, rng,
                                workers=4)
         assert abs(est.mean - truth) <= 3 * est.stderr

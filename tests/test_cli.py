@@ -190,3 +190,38 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         assert cli.main(argv + ["--workers", str(w), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    "embed mc --M 0 --n 5",
+    "embed mc --M 0 --n 5 --target alternating",
+    "lattice abscan --p 2 --box 3 --replicas 5",
+    "lattice abscan --p -1 --box 3 --replicas 5",
+    "schedule coupling --M 2 --k 2 --depth -1 --replicas 5",
+    "lattice embed2d --R 2 --depth 3",
+    "compat mc --p 1/0 --n 5 --replicas 5",
+    "lattice blocks --p 1/0 --R 2 --replicas 5",
+    "lattice abscan --p 1/0 --box 3 --replicas 5",
+    "lattice embed2d --p 1/0 --R 2 --depth 3 --word 01",
+    "env column --mu 1/0:1 --box 3 --replicas 5",
+    "lattice visible --field {missing} --origin 0,0 --word 1",
+    "env kwise --pmf {missing} --k 2",
+    "env kwise --pmf {no_outcome} --k 2",
+    # flags a subcommand would ignore are refused
+    "embed decide --v 01 --y 01 --M 1 --seed 3",
+    "schedule survive --M 2 --depth 1 --replicas 5",
+    "lattice embed2d --R 2 --depth 3 --word 01 --workers 2",
+])
+def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
+    no_outcome = tmp_path / "no_outcome.csv"
+    no_outcome.write_text("numerator,denominator\n1,2\n")
+    argv = argv.format(missing=tmp_path / "missing",
+                       no_outcome=no_outcome).split()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:          # argparse exits on unknown flags
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err

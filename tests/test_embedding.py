@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clairvoyant.embedding import (
-    alternating_reference,
     char_roots,
     embed_count,
     embed_decide,
@@ -76,7 +75,7 @@ def test_exact_matches_recursion_small():
     for M, top in ((2, 8), (3, 6), (4, 4)):
         for n in range(0, top + 1):
             assert embed_prob_exact(alternating_word(n), M) == \
-                alternating_reference(n, M)
+                vn_recursion(M, n)[n]
 
 
 def test_recursion_values():

@@ -41,6 +41,11 @@ def test_block_good_prob_values():
         block_good_prob(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         block_good_prob(2, 2)
+    # the Monte Carlo side refuses the same inputs instead of estimating 0
+    with pytest.raises(ValueError):
+        block_good_mc(0.5, 0, 10, RngSpec(0))
+    with pytest.raises(ValueError):
+        block_good_mc(2.0, 2, 10, RngSpec(0))
 
 
 def test_block_density_beats_directed_site_threshold():
