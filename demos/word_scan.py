@@ -1,7 +1,7 @@
 # Which length-n words are easiest and hardest to M-embed?
 #
-# For small n we can enumerate every source word v and every target word y
-# of length Mn and compute the exact embedding probability.  The scan below
+# For small n we can go through every source word v and count, exactly, the
+# target words y of length Mn it embeds into.  The scan below
 # confirms the expected ranking: the alternating word wins, the constant
 # words lose, and complements tie.
 

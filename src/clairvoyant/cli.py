@@ -116,8 +116,7 @@ def _do_embed_roots(args):
 
 
 def _do_embed_scan(args):
-    report = emb.extremal_scan(args.n, args.M, budget_bits=args.budget_bits,
-                               word_budget=args.word_budget)
+    report = emb.extremal_scan(args.n, args.M, budget=args.budget)
     rows = [
         {
             "w": str(w),
@@ -130,7 +129,7 @@ def _do_embed_scan(args):
 
 
 def _do_embed_moments(args):
-    rep = emb.moment_report(args.n, args.M, max_pairs=args.max_pairs)
+    rep = emb.moment_report(args.n, args.M)
     row = {
         "n": str(rep.n),
         "M": str(rep.M),
@@ -443,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(g, "exact", _do_embed_exact)
     p.add_argument("--v", required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--budget", type=int, default=24)
+    p.add_argument("--budget", type=int, default=emb.DEFAULT_BUDGET)
     p = leaf(g, "recursion", _do_embed_recursion)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -452,12 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(g, "scan", _do_embed_scan)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--budget-bits", type=int, default=36)
-    p.add_argument("--word-budget", type=int, default=24)
+    p.add_argument("--budget", type=int, default=emb.DEFAULT_BUDGET)
     p = leaf(g, "moments", _do_embed_moments)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--max-pairs", type=int, default=1 << 16)
     p = leaf(g, "mc", _do_embed_mc, replicas=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

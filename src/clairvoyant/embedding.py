@@ -4,14 +4,15 @@ A word ``v`` of length n M-embeds into ``y`` when there are positions
 ``m_1 < ... < m_n`` with ``m_0 = 0``, each step ``m_i - m_{i-1}`` between 1
 and M, and ``y[m_i] = v[i]`` (positions are 1-based here, matching the gap
 convention).  Since ``m_n <= M*n``, the event only looks at the first M*n
-letters of ``y``, which is what makes exact enumeration possible at desk
-scale.
+letters of ``y``, which a merged-frontier automaton reads one by one with
+integer counts to give exact probabilities (Markov-chain embedding, Fu &
+Koutras 1994).
 
 For the alternating word against uniform random ``y`` the probability
 ``v_n`` obeys a two-term linear recursion whose coefficients depend only on
-M; both the recursion and a direct enumeration are implemented so each can
-check the other.  First and second moments of the number of embeddings of a
-random word are exact as well, via a constraint-graph count.
+M; both the recursion and the automaton are implemented so each can check
+the other.  First and second moments of the number of embeddings of a
+random word are exact as well, the second by a DP over position offsets.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
+from functools import reduce
+from operator import or_
 
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
@@ -29,7 +29,7 @@ from .runner import PerReplica, run_chunked
 from .stats import Estimate
 from .words import Word, pack_mask
 
-_ENUM_CHUNK_BITS = 22
+DEFAULT_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -130,44 +130,66 @@ def embed_count(v: Word, y: Word, M: int) -> int:
     return sum(counts)
 
 
-def embed_prob_exact(v: Word, M: int, budget: int = 24) -> Fraction:
-    """P(v M-embeds into uniform random y), exactly, by enumeration.
+def _automaton_counts(words_bits: list[int], n: int, M: int,
+                      budget: int) -> list[int]:
+    """For each word, how many y in {0,1}^(M*n) it M-embeds into.
 
-    Enumerates all 2**(M*n) targets; refuses when M*len(v) exceeds budget.
+    Reads y left to right.  A state holds M bitmasks; mask a has bit i set
+    iff v_1..v_i can end a letters back.  Equal states merge, carrying how
+    many y prefixes reach them; a state whose newest mask has bit n accepts
+    every continuation, an all-empty one none.  BudgetError is raised once
+    the state-steps (live states summed over letters and words) pass budget.
+    """
+    if n == 0:
+        return [1] * len(words_bits)        # m_0 = 0 embeds it in any y
+    L = M * n
+    counts = []
+    spent = 0
+    for vbits in words_bits:
+        # bit i + 1 of match[b] is set iff v_{i+1} == b
+        match = ((~vbits & ((1 << n) - 1)) << 1, vbits << 1)
+        states = {(1,) + (0,) * (M - 1): 1}
+        hits = 0
+        for t in range(L):
+            spent += len(states)
+            if spent > budget:
+                raise BudgetError("the automaton passed its budget of %d "
+                                  "state-steps" % budget)
+            nxt: dict[tuple[int, ...], int] = {}
+            for state, count in states.items():
+                reach = reduce(or_, state) << 1
+                older = state[:-1]
+                for mb in match:
+                    newest = reach & mb
+                    if newest >> n:
+                        hits += count << (L - t - 1)
+                    elif newest or any(older):
+                        key = (newest,) + older
+                        nxt[key] = nxt.get(key, 0) + count
+            states = nxt
+        counts.append(hits)
+    return counts
+
+
+def embed_prob_exact(v: Word, M: int,
+                     budget: int = DEFAULT_BUDGET) -> Fraction:
+    """P(v M-embeds into uniform random y), exactly, by the automaton.
+
+    ``budget`` caps the automaton's state-steps.  Each of the M*n letters
+    costs at least one: the target with v_k at position k*M and the
+    opposite of v_(k+1) between them stays live and unaccepted up to its
+    last letter.  So M*n over the budget is refused up front.
     """
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     L = M * len(v)
     if L > budget:
-        raise BudgetError(
-            "enumeration needs 2**%d targets, over the budget of 2**%d"
-            % (L, budget)
-        )
-    count = _enum_embed_counts([v.bits], len(v), M)[0]
+        raise BudgetError("the automaton needs at least %d state-steps, over "
+                          "the budget of %d" % (L, budget))
+    count = _automaton_counts([v.bits], len(v), M, budget)[0]
     return Fraction(count, 1 << L)
-
-
-def _enum_embed_counts(words_bits: list[int], n: int, M: int) -> list[int]:
-    """For each word, how many y in {0,1}^(M*n) it M-embeds into."""
-    L = M * n
-    total = 1 << L
-    posmask = np.uint64(((1 << (L + 1)) - 1) & ~1)
-    counts = [0] * len(words_bits)
-    step = 1 << _ENUM_CHUNK_BITS
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        y = np.arange(start, stop, dtype=np.uint64)
-        ones = y << np.uint64(1)
-        zeros = (~ones) & posmask
-        for wi, wbits in enumerate(words_bits):
-            r = np.ones(stop - start, dtype=np.uint64)
-            for i in range(n):
-                s = r << np.uint64(1)
-                for d in range(2, M + 1):
-                    s |= r << np.uint64(d)
-                r = s & (ones if (wbits >> i) & 1 else zeros)
-            counts[wi] += int(np.count_nonzero(r))
-    return counts
 
 
 @dataclass(frozen=True)
@@ -243,29 +265,25 @@ class ScanReport:
     worst_probability: Fraction
 
 
-def extremal_scan(n: int, M: int, budget_bits: int = 36,
-                  word_budget: int = 24) -> ScanReport:
+def extremal_scan(n: int, M: int, budget: int = DEFAULT_BUDGET) -> ScanReport:
     """Rank all 2**n words of length n by exact M-embedding probability.
 
-    Total enumeration touches 2**(n*(M+1)) (word, target) pairs; both that
-    exponent and the per-word target budget are enforced up front.
+    Runs the automaton once per word; ``budget`` caps the state-steps summed
+    over all words.  Each word costs at least M*n of them, so a scan whose
+    2**n * M*n floor is over the budget is refused before any word is built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
-    if n * (M + 1) > budget_bits:
-        raise BudgetError(
-            "scan touches 2**%d pairs, over the budget of 2**%d"
-            % (n * (M + 1), budget_bits)
-        )
-    if n * M > word_budget:
-        raise BudgetError(
-            "per-word enumeration needs 2**%d targets, over the budget of 2**%d"
-            % (n * M, word_budget)
-        )
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if (M * n) << n > budget:
+        raise BudgetError("a scan of 2**%d words needs at least %d "
+                          "state-steps, over the budget of %d"
+                          % (n, (M * n) << n, budget))
     words = [Word(bits, n) for bits in range(1 << n)]
-    counts = _enum_embed_counts([w.bits for w in words], n, M)
+    counts = _automaton_counts([w.bits for w in words], n, M, budget)
     denom = 1 << (M * n)
     table = tuple((w, Fraction(c, denom)) for w, c in zip(words, counts))
     best = max(c for _, c in table)
@@ -305,53 +323,32 @@ def mean_embeddings(n: int, M: int) -> Fraction:
     return mean
 
 
-def second_moment_ratio(n: int, M: int, max_pairs: int = 1 << 16) -> Fraction:
+def second_moment_ratio(n: int, M: int) -> Fraction:
     """E(N^2) / (M/2)**(2n) for N = number of M-embeddings, both words random.
 
-    Sums over all pairs of position sequences; each pair contributes
-    2**-(vars - components) of its equality-constraint graph.  Refuses when
-    M**(2n) exceeds max_pairs (the default covers n <= 8 at M = 2).
+    A pair of position sequences (m1, m2) contributes 2**-(n + k), where k
+    counts the i with m1_i != m2_i, so a DP over the offset d = m2_i - m1_i
+    sums all M**(2n) pairs in O(n**2 M**3) steps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
-    if M ** (2 * n) > max_pairs:
-        raise BudgetError(
-            "second moment touches %d pairs, over the budget of %d"
-            % (M ** (2 * n), max_pairs)
-        )
-    seqs = []
-    for gaps in product(range(1, M + 1), repeat=n):
-        pos = []
-        m = 0
-        for d in gaps:
-            m += d
-            pos.append(m)
-        seqs.append(tuple(pos))
-
-    def find(parent: list[int], a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    total = Fraction(0)
-    for m1 in seqs:
-        for m2 in seqs:
-            ys = sorted(set(m1) | set(m2))
-            yidx = {p: n + k for k, p in enumerate(ys)}
-            nvars = n + len(ys)
-            parent = list(range(nvars))
-            comps = nvars
-            for i in range(n):
-                for p in (m1[i], m2[i]):
-                    ra, rb = find(parent, i), find(parent, yidx[p])
-                    if ra != rb:
-                        parent[ra] = rb
-                        comps -= 1
-            total += Fraction(1, 2 ** (nvars - comps))
-    return total / Fraction(M, 2) ** (2 * n)
+    # The pair ties v_i to y[m1_i] and y[m2_i], n + k edges with no cycle:
+    # a position is at most one m1_i and one m2_j, so a cycle would be an
+    # orbit of the increasing map f(m1_i) = m2_i, and those never return
+    # (bar fixed points).  So n + k fair bits are fixed.  Weighting zero
+    # offsets by 2, not nonzero ones by 1/2, makes the sum 4**n E(N^2).
+    ways = {0: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for d, c in ways.items():
+            for g1 in range(1, M + 1):
+                for g2 in range(1, M + 1):
+                    e = d + g2 - g1
+                    nxt[e] = nxt.get(e, 0) + (2 * c if e == 0 else c)
+        ways = nxt
+    return Fraction(sum(ways.values()), M ** (2 * n))
 
 
 @dataclass(frozen=True)
@@ -363,12 +360,12 @@ class MomentReport:
     growth_estimate: float | None
 
 
-def moment_report(n: int, M: int, max_pairs: int = 1 << 16) -> MomentReport:
+def moment_report(n: int, M: int) -> MomentReport:
     """Mean, normalized second moment, and a one-step growth-rate estimate."""
-    ratio = second_moment_ratio(n, M, max_pairs=max_pairs)
+    ratio = second_moment_ratio(n, M)
     growth = None
     if n >= 1:
-        prev = second_moment_ratio(n - 1, M, max_pairs=max_pairs)
+        prev = second_moment_ratio(n - 1, M)
         growth = float(ratio / prev)
     return MomentReport(
         n=n,

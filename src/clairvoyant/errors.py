@@ -4,8 +4,8 @@
 class BudgetError(Exception):
     """An exact computation was refused because it exceeds its size budget.
 
-    Raised before any work is done, so callers can retry with a smaller
-    instance or a larger explicit budget.
+    Raised before the work passes the budget, with no partial result, so
+    callers can retry with a smaller instance or a larger explicit budget.
     """
 
 

@@ -305,6 +305,8 @@ def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
     h, wd = cells.shape
     if not (0 <= origin[0] < h and 0 <= origin[1] < wd):
         raise ValueError("origin outside the box")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     n = len(w)
     if n == 0:
         return Visibility.FOUND
@@ -390,6 +392,8 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
         raise ValueError("p must lie in [0, 1]")
     if box < 1:
         raise ValueError("box radius must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     fn = PerReplica(_ab_replica, rng, p=p, box=box, budget=budget,
                     words=(alternating_word(box), constant_word(box)))
     codes = run_chunked(fn, replicas, workers)

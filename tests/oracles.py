@@ -1,12 +1,18 @@
 """Brute-force reference implementations used to pin test expectations.
 
 Everything here favors obviousness over speed: plain recursion, explicit
-enumeration, no bit tricks.  The package must agree with these on every
+enumeration, no bit tricks.  The one exception is ``enum_embed_counts``,
+which runs the frontier sweep on every target at once with numpy so full
+scans stay affordable.  The package must agree with these on every
 instance small enough to enumerate.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
+
+_ENUM_CHUNK_BITS = 22
 
 
 def all_zero_deletions(letters):
@@ -50,6 +56,29 @@ def brute_embed_prob(v_letters, M):
         if brute_embeddings(v_letters, y, M):
             hits += 1
     return Fraction(hits, 2**L)
+
+
+def enum_embed_counts(words_bits: list[int], n: int, M: int) -> list[int]:
+    """For each word, how many y in {0,1}^(M*n) it M-embeds into."""
+    L = M * n
+    total = 1 << L
+    posmask = np.uint64(((1 << (L + 1)) - 1) & ~1)
+    counts = [0] * len(words_bits)
+    step = 1 << _ENUM_CHUNK_BITS
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        y = np.arange(start, stop, dtype=np.uint64)
+        ones = y << np.uint64(1)
+        zeros = (~ones) & posmask
+        for wi, wbits in enumerate(words_bits):
+            r = np.ones(stop - start, dtype=np.uint64)
+            for i in range(n):
+                s = r << np.uint64(1)
+                for d in range(2, M + 1):
+                    s |= r << np.uint64(d)
+                r = s & (ones if (wbits >> i) & 1 else zeros)
+            counts[wi] += int(np.count_nonzero(r))
+    return counts
 
 
 def brute_mean_embeddings(n, M):

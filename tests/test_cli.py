@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from clairvoyant import cli
 
@@ -165,7 +168,7 @@ def test_float_formatting(tmp_path):
 
 def test_exit_codes(tmp_path, capsys):
     # refusing an oversized exact computation is a usage-class failure
-    assert cli.main(["embed", "exact", "--v", "0" * 13, "--M", "2"]) == 2
+    assert cli.main(["embed", "scan", "--n", "24", "--M", "1"]) == 2
     assert "refused" in capsys.readouterr().err
     assert cli.main(["embed", "roots", "--M", "1"]) == 2
     with pytest.raises(SystemExit):
@@ -202,6 +205,9 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     "compat mc --p 1/0 --n 5 --replicas 5",
     "lattice blocks --p 1/0 --R 2 --replicas 5",
     "lattice abscan --p 1/0 --box 3 --replicas 5",
+    "lattice abscan --box 2 --replicas 3 --budget -5",
+    "lattice visible --field {field} --origin 1,1 --word 1010 --budget -1",
+    "embed exact --v 0101 --M 2 --budget -1",
     "lattice embed2d --p 1/0 --R 2 --depth 3 --word 01",
     "env column --mu 1/0:1 --box 3 --replicas 5",
     "lattice visible --field {missing} --origin 0,0 --word 1",
@@ -215,8 +221,10 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
     no_outcome = tmp_path / "no_outcome.csv"
     no_outcome.write_text("numerator,denominator\n1,2\n")
-    argv = argv.format(missing=tmp_path / "missing",
-                       no_outcome=no_outcome).split()
+    field = tmp_path / "field.txt"
+    field.write_text("010\n101\n010\n")
+    argv = argv.format(missing=tmp_path / "missing", no_outcome=no_outcome,
+                       field=field).split()
     try:
         code = cli.main(argv)
     except SystemExit as exc:          # argparse exits on unknown flags
@@ -225,3 +233,43 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
     assert code == 2
     assert "error" in err
     assert "Traceback" not in err
+
+
+_literals = st.text("01", max_size=8)
+
+
+@st.composite
+def _embed_argv(draw):
+    op = draw(st.sampled_from(("exact", "scan", "moments", "recursion",
+                               "roots", "decide", "count")))
+    M = draw(st.integers(-2, 8))
+    argv = ["embed", op, "--M", str(M)]
+    if op in ("exact", "decide", "count"):
+        v = draw(_literals)
+        assume(len(v) * M <= 16)
+        argv += ["--v", v]
+    if op in ("decide", "count"):
+        argv += ["--y", draw(_literals)]
+    if op in ("scan", "moments", "recursion"):
+        n = draw(st.integers(-2, 8))
+        assume(n * M <= 16)
+        argv += ["--n", str(n)]
+    if op in ("exact", "scan") and draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(-1, 10**4)))]
+    return argv
+
+
+@given(_embed_argv())
+@settings(max_examples=300, deadline=None)
+def test_embed_argv_fuzz_exits_0_or_2(argv):
+    out = io.TextIOWrapper(io.BytesIO())     # the payload goes to .buffer
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse rejects the value itself
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().strip()
+    assert "Traceback" not in err.getvalue()

@@ -22,7 +22,12 @@ from clairvoyant.errors import BudgetError
 from clairvoyant.rng import RngSpec
 from clairvoyant.words import Word, alternating_word
 
-from oracles import brute_embed_prob, brute_embeddings, brute_second_moment_ratio
+from oracles import (
+    brute_embed_prob,
+    brute_embeddings,
+    brute_second_moment_ratio,
+    enum_embed_counts,
+)
 
 small_words = st.lists(st.integers(0, 1), max_size=5)
 targets = st.lists(st.integers(0, 1), max_size=12)
@@ -135,7 +140,8 @@ def test_mean_embeddings_closed_form():
 
 
 def test_second_moment_matches_brute_force():
-    for n, M in ((0, 2), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3)):
+    for n, M in ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3),
+                 (3, 3), (2, 4)):
         assert second_moment_ratio(n, M) == brute_second_moment_ratio(n, M)
 
 
@@ -167,18 +173,34 @@ def test_extremal_scan_small():
         assert probs[w.complement()] == pr
 
 
+def test_extremal_scan_matches_enumeration():
+    for n, M in ((8, 2), (5, 3), (4, 4)):
+        rep = extremal_scan(n, M)
+        counts = enum_embed_counts(list(range(1 << n)), n, M)
+        assert rep.table == tuple(
+            (Word(bits, n), Fraction(c, 2 ** (M * n)))
+            for bits, c in enumerate(counts)
+        )
+
+
 def test_budget_refusals():
+    # 2**24 words of 24 letters each need at least 24 * 2**24 state-steps
     with pytest.raises(BudgetError):
-        embed_prob_exact(alternating_word(13), 2)
+        extremal_scan(24, 1)
+    # exact state-step counts: live states summed over the letters of y
+    ALT4_M2_STEPS = 24
+    SCAN_3_2_STEPS = 104
     with pytest.raises(BudgetError):
-        extremal_scan(13, 2)
+        embed_prob_exact(alternating_word(4), 2, budget=ALT4_M2_STEPS - 1)
+    assert embed_prob_exact(alternating_word(4), 2, budget=ALT4_M2_STEPS) \
+        == vn_recursion(2, 4)[4]
     with pytest.raises(BudgetError):
-        extremal_scan(9, 3)
-    with pytest.raises(BudgetError):
-        second_moment_ratio(9, 2)
-    with pytest.raises(BudgetError):
-        embed_prob_exact(alternating_word(4), 2, budget=7)
-    assert embed_prob_exact(alternating_word(4), 2, budget=8) is not None
+        extremal_scan(3, 2, budget=SCAN_3_2_STEPS - 1)
+    assert len(extremal_scan(3, 2, budget=SCAN_3_2_STEPS).table) == 8
+    with pytest.raises(ValueError):
+        embed_prob_exact(alternating_word(4), 2, budget=-1)
+    with pytest.raises(ValueError):
+        extremal_scan(3, 2, budget=-1)
 
 
 def test_mc_deterministic_and_calibrated():
