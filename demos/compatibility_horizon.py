@@ -13,7 +13,7 @@ from clairvoyant import (
     compatible,
     compatible_prefix,
     majority_certificate,
-    psi_mc,
+    psi_curve_mc,
 )
 
 # a small pair, decided three ways: fast DP, witness search, enumeration
@@ -37,12 +37,13 @@ print("x = %s, y = %s: incompatible by majority at N = %d" % (a, b, cert.N))
 assert not compatible(a, b)
 print()
 
-# psi along n for a few densities; replicas are coupled across both p and
-# n (shared uniforms), so each column decreases and rows decrease too
+# psi along n for a few densities, every n from one sweep per p; replicas
+# are coupled across both p and n (shared uniforms), so each column
+# decreases and rows decrease too
 ns = [10, 25, 50, 100, 200]
 print("   p    " + "".join("  n=%-5d" % n for n in ns))
 for p in (0.3, 0.5, 0.7):
-    row = [psi_mc(p, n, replicas=4000, rng=RngSpec(1)) for n in ns]
+    row = psi_curve_mc(p, ns, replicas=4000, rng=RngSpec(1))
     print("%5.2f   " % p + "".join("  %-7.4f" % e.mean for e in row))
 print()
 print("p = 0.3 barely moves, p = 0.7 is dead by n = 50; whether the")

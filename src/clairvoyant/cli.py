@@ -20,9 +20,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from . import compatibility as compat
@@ -32,6 +36,7 @@ from . import lattice as lat
 from . import scheduling as sched
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
+from .runner import chunk_bounds
 from .stats import Estimate
 from .words import IntSequence, Word, make_word
 
@@ -68,6 +73,18 @@ def _rng(args) -> RngSpec:
     return RngSpec(args.seed)
 
 
+def _check_printable(bits: int) -> None:
+    """Refuse, before computing it, an exact probability over 2**bits whose
+    denominator could pass Python's limit on int-to-str digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = int(bits * math.log10(2)) + 1
+    if limit and digits > limit:
+        raise BudgetError(
+            "the exact probability has a denominator of up to 2^%d (%d "
+            "digits), over the %d-digit limit of int-to-str conversion (set "
+            "by PYTHONINTMAXSTRDIGITS)" % (bits, digits, limit))
+
+
 # ---------------------------------------------------------------- embed ----
 
 def _do_embed_decide(args):
@@ -89,6 +106,7 @@ def _do_embed_count(args):
 
 def _do_embed_exact(args):
     v = _word_arg(args.v)
+    _check_printable(args.M * len(v))
     pr = emb.embed_prob_exact(v, args.M, budget=args.budget)
     row = {
         "w": str(v),
@@ -116,6 +134,7 @@ def _do_embed_roots(args):
 
 
 def _do_embed_scan(args):
+    _check_printable(args.M * args.n)
     report = emb.extremal_scan(args.n, args.M, budget=args.budget)
     rows = [
         {
@@ -278,9 +297,9 @@ def _do_compat_mc(args):
     ns = _parse_ints(args.n)
     rows = []
     for p in ps:
-        for n in ns:
-            est = compat.psi_mc(p, n, args.replicas, _rng(args),
-                                workers=args.workers)
+        ests = compat.psi_curve_mc(p, ns, args.replicas, _rng(args),
+                                   workers=args.workers)
+        for n, est in zip(ns, ests):
             rows.append({
                 "p": _f(p),
                 "n": str(n),
@@ -554,6 +573,21 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _env(args) -> dict:
+    """Where the run ran: versions, CPUs, and the worker processes used."""
+    affinity = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+    workers = (len(chunk_bounds(args.replicas, args.workers))
+               if hasattr(args, "workers") else 1)
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": affinity,
+        "workers_used": workers,
+    }
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
@@ -570,6 +604,7 @@ def run(argv=None) -> int:
     manifest = {
         "command": "%s %s" % (args.group, args.op),
         "config": _config_echo(args),
+        "env": _env(args),
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 6),
         "output": target,

@@ -48,12 +48,11 @@ def validate_deletion(witness: DeletionWitness, x: Word, y: Word) -> bool:
 
 
 def _closure(r: int, zy: int) -> int:
-    # saturate skip-y moves: from consumed-count j, skipping needs y_{j+1}=0
-    while True:
-        t = r | ((r & zy) << 1)
-        if t == r:
-            return r
-        r = t
+    # saturate skip-y moves: from consumed-count j, skipping needs y_{j+1}=0.
+    # Adding r & zy to zy carries each run of zy's 1s from its lowest bit in
+    # r up to one past the run, clearing the run on the way; xor-ing zy back
+    # flips those bits on (bits of r inside the run aside, which r keeps).
+    return r | (((r & zy) + zy) ^ zy)
 
 
 def _compatible_bits(xbits: int, nx: int, ybits: int, ny: int) -> bool:
@@ -197,11 +196,63 @@ def majority_certificate(x: Word, y: Word) -> MajorityCertificate | None:
     return MajorityCertificate(int(hits[0]) + 1)
 
 
-def _psi_replica(spec: RngSpec, p: float, n: int) -> bool:
+def _horizon_bits(xbits: int, ybits: int, N: int) -> int:
+    """Largest n <= N at which the length-n prefixes are compatible.
+
+    The row sweep of `_compatible_bits` on the length-N words, tracking the
+    largest max(i, j) over reachable states (i, j) instead of stopping at
+    the first exhausted word.  A state with max(i, j) = m uses only the
+    first m letters of each word, so it accepts at horizon m; and each move
+    raises max(i, j) by at most 1, so a path to it passes through an
+    accepting state of every smaller horizon.  So the prefixes are
+    compatible at horizon n exactly when n <= the returned value.
+    """
+    zy = ~ybits & ((1 << N) - 1)
+    full = (1 << (N + 1)) - 1
+    r = _closure(1, zy)
+    top = r.bit_length() - 1
+    for i in range(N):
+        if top >= N:
+            break
+        if (xbits >> i) & 1:
+            r = ((r & zy) << 1) & full
+        else:
+            r |= (r << 1) & full
+        if r == 0:
+            break
+        r = _closure(r, zy)
+        top = max(top, i + 1, r.bit_length() - 1)
+    return top
+
+
+def _horizon_replica(spec: RngSpec, p: float, N: int) -> int:
     k = spec.stream_id
-    xbits = pack_mask(spec.stream(2 * k).generator().random(n) < p)
-    ybits = pack_mask(spec.stream(2 * k + 1).generator().random(n) < p)
-    return _compatible_bits(xbits, n, ybits, n)
+    xbits = pack_mask(spec.stream(2 * k).generator().random(N) < p)
+    ybits = pack_mask(spec.stream(2 * k + 1).generator().random(N) < p)
+    return _horizon_bits(xbits, ybits, N)
+
+
+def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
+                 workers: int = 1) -> list[Estimate]:
+    """psi(n) = P(two Bernoulli(p) words are compatible at horizon n), per n.
+
+    All horizons come from one sweep: replica k thresholds uniforms from
+    streams 2k (for x) and 2k+1 (for y) into words of length N = max(ns)
+    and finds the largest horizon T at which their prefixes are
+    compatible; psi(n) is the mean of T >= n.  The first n uniforms of a
+    stream do not depend on how many follow, so each estimate equals
+    `psi_mc(p, n, ...)` exactly, and the estimates are non-increasing in n
+    sample by sample.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if not ns:
+        raise ValueError("give at least one horizon n")
+    if any(n < 1 for n in ns):
+        raise ValueError("n must be >= 1")
+    fn = PerReplica(_horizon_replica, rng, p=p, N=max(ns))
+    horizons = run_chunked(fn, replicas, workers)
+    return [Estimate.from_samples(horizons >= n, rng) for n in ns]
 
 
 def psi_mc(p: float, n: int, replicas: int, rng: RngSpec,
@@ -211,12 +262,6 @@ def psi_mc(p: float, n: int, replicas: int, rng: RngSpec,
     Replica k thresholds uniforms from streams 2k (for x) and 2k+1 (for y),
     so runs at different p or n under one master seed are coupled sample by
     sample: raising p flips 0s to 1s in place, and raising n extends the
-    same words.
+    same words.  `psi_curve_mc` gives every horizon from one sweep.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fn = PerReplica(_psi_replica, rng, p=p, n=n)
-    samples = run_chunked(fn, replicas, workers)
-    return Estimate.from_samples(samples, rng)
+    return psi_curve_mc(p, [n], replicas, rng, workers)[0]

@@ -137,8 +137,9 @@ def _automaton_counts(words_bits: list[int], n: int, M: int,
     Reads y left to right.  A state holds M bitmasks; mask a has bit i set
     iff v_1..v_i can end a letters back.  Equal states merge, carrying how
     many y prefixes reach them; a state whose newest mask has bit n accepts
-    every continuation, an all-empty one none.  BudgetError is raised once
-    the state-steps (live states summed over letters and words) pass budget.
+    every continuation, an all-empty one none.  Each live state costs its M
+    masks per letter, and BudgetError is raised once these mask-steps
+    (summed over letters and words) pass budget.
     """
     if n == 0:
         return [1] * len(words_bits)        # m_0 = 0 embeds it in any y
@@ -151,10 +152,10 @@ def _automaton_counts(words_bits: list[int], n: int, M: int,
         states = {(1,) + (0,) * (M - 1): 1}
         hits = 0
         for t in range(L):
-            spent += len(states)
+            spent += len(states) * M
             if spent > budget:
                 raise BudgetError("the automaton passed its budget of %d "
-                                  "state-steps" % budget)
+                                  "mask-steps" % budget)
             nxt: dict[tuple[int, ...], int] = {}
             for state, count in states.items():
                 reach = reduce(or_, state) << 1
@@ -175,19 +176,20 @@ def embed_prob_exact(v: Word, M: int,
                      budget: int = DEFAULT_BUDGET) -> Fraction:
     """P(v M-embeds into uniform random y), exactly, by the automaton.
 
-    ``budget`` caps the automaton's state-steps.  Each of the M*n letters
-    costs at least one: the target with v_k at position k*M and the
-    opposite of v_(k+1) between them stays live and unaccepted up to its
-    last letter.  So M*n over the budget is refused up front.
+    ``budget`` caps the automaton's mask-steps: live states summed over
+    the letters of y, M masks each.  Each of the M*n letters has at least
+    one live state: the target with v_k at position k*M and the opposite
+    of v_(k+1) between them stays live and unaccepted up to its last
+    letter.  So M*M*n over the budget is refused up front.
     """
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
     L = M * len(v)
-    if L > budget:
-        raise BudgetError("the automaton needs at least %d state-steps, over "
-                          "the budget of %d" % (L, budget))
+    if M * L > budget:
+        raise BudgetError("the automaton needs at least %d mask-steps, over "
+                          "the budget of %d" % (M * L, budget))
     count = _automaton_counts([v.bits], len(v), M, budget)[0]
     return Fraction(count, 1 << L)
 
@@ -268,9 +270,10 @@ class ScanReport:
 def extremal_scan(n: int, M: int, budget: int = DEFAULT_BUDGET) -> ScanReport:
     """Rank all 2**n words of length n by exact M-embedding probability.
 
-    Runs the automaton once per word; ``budget`` caps the state-steps summed
-    over all words.  Each word costs at least M*n of them, so a scan whose
-    2**n * M*n floor is over the budget is refused before any word is built.
+    Runs the automaton once per word; ``budget`` caps the mask-steps summed
+    over all words.  Each word costs at least M*M*n of them (see
+    `embed_prob_exact`), so a scan whose 2**n * M*M*n floor is over the
+    budget is refused before any word is built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -278,10 +281,11 @@ def extremal_scan(n: int, M: int, budget: int = DEFAULT_BUDGET) -> ScanReport:
         raise ValueError("gap bound M must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if (M * n) << n > budget:
+    floor = (M * M * n) << n
+    if floor > budget:
         raise BudgetError("a scan of 2**%d words needs at least %d "
-                          "state-steps, over the budget of %d"
-                          % (n, (M * n) << n, budget))
+                          "mask-steps, over the budget of %d"
+                          % (n, floor, budget))
     words = [Word(bits, n) for bits in range(1 << n)]
     counts = _automaton_counts([w.bits for w in words], n, M, budget)
     denom = 1 << (M * n)

@@ -89,6 +89,8 @@ class Field2D:
 def sample_field(p: float, width: int, height: int, rng: RngSpec) -> Field2D:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if width < 0 or height < 0:
+        raise ValueError("field width and height must be >= 0")
     g = rng.generator()
     cells = (g.random((width, height)) < p).astype(np.uint8)
     return Field2D(cells=cells, p=p)

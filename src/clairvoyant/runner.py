@@ -13,6 +13,12 @@ chunk function that runs the kernel for replicas ``lo <= k < hi`` with
 one per worker.  Because replica k always draws from stream k, the
 concatenated result is a pure function of (master seed, replica count) and
 does not depend on the worker count.
+
+Kernels get their generators from ``spec.generator()``, which reuses one
+Philox per process (each worker process has its own) and rewinds it to
+stream k: the draws are those of a freshly built generator.  A kernel that
+drops its generator before asking for the next one pays for a rewind, not
+a build; one it still holds is never rewound.
 """
 
 from __future__ import annotations

@@ -57,6 +57,8 @@ class ScheduleGrid:
 
 def sample_grid(M: int, depth: int, rng: RngSpec) -> ScheduleGrid:
     """Grid of two fresh uniform walks, each with depth+1 values."""
+    if M < 2:
+        raise ValueError("alphabet size M must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     g = rng.generator()
@@ -209,6 +211,8 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
     closed in the big grid, or if a reduced grid survives while its big
     grid does not; either would contradict the coupling.
     """
+    if M < 2:
+        raise ValueError("alphabet size M must be >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
     if depth < 0:

@@ -35,6 +35,21 @@ def test_manifest_hash_matches_payload(tmp_path):
     assert manifest["wall_time_s"] >= 0
 
 
+def test_manifest_env(tmp_path):
+    _, manifest, out = run_csv(tmp_path, ["compat", "mc", "--p", "1/2",
+                                          "--n", "5", "--replicas", "2",
+                                          "--workers", "3", "--seed", "1"])
+    assert manifest["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    env = manifest["env"]
+    assert set(env) == {"python", "numpy", "cpu_count", "cpu_affinity",
+                        "workers_used"}
+    assert env["python"].count(".") == 2 and env["numpy"]
+    assert env["cpu_count"] >= 1
+    assert env["workers_used"] == 2          # two replicas, not three chunks
+    _, manifest, _ = run_csv(tmp_path, ["embed", "roots", "--M", "3"])
+    assert manifest["env"]["workers_used"] == 1
+
+
 def test_scan_header_and_values(tmp_path):
     rows, _, out = run_csv(tmp_path, ["embed", "scan", "--n", "3", "--M", "2"])
     header = out.read_text().splitlines()[0]
@@ -185,8 +200,8 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
-    argv = ["compat", "mc", "--p", "1/2", "--n", "30", "--replicas", "400",
-            "--seed", "123"]
+    argv = ["compat", "mc", "--p", "1/2,0.3", "--n", "30,4,12",
+            "--replicas", "400", "--seed", "123"]
     outs = []
     for w, name in ((1, "a.csv"), (3, "b.csv")):
         out = tmp_path / name
@@ -235,6 +250,21 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_exact_fraction_past_int_str_limit(tmp_path, capsys):
+    # 2**15000 has 4516 digits, past Python's default limit of 4300 for
+    # int-to-str conversion: refused up front, naming the size
+    code = cli.main(["embed", "exact", "--v", "01" * 7500, "--M", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "refused" in err and "2^15000" in err and "4516 digits" in err
+    assert "Traceback" not in err
+    # 2**14000 has 4215 digits: printed in full
+    rows, _, _ = run_csv(tmp_path, ["embed", "exact", "--v", "01" * 7000,
+                                    "--M", "1"])
+    assert rows[0]["probability_num"] == "1"
+    assert int(rows[0]["probability_den"]) == 2**14000
+
+
 _literals = st.text("01", max_size=8)
 
 
@@ -259,9 +289,7 @@ def _embed_argv(draw):
     return argv
 
 
-@given(_embed_argv())
-@settings(max_examples=300, deadline=None)
-def test_embed_argv_fuzz_exits_0_or_2(argv):
+def _assert_exits_0_or_2(argv):
     out = io.TextIOWrapper(io.BytesIO())     # the payload goes to .buffer
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -273,3 +301,142 @@ def test_embed_argv_fuzz_exits_0_or_2(argv):
     if code == 2:
         assert err.getvalue().strip()
     assert "Traceback" not in err.getvalue()
+
+
+@given(_embed_argv())
+@settings(max_examples=300, deadline=None)
+def test_embed_argv_fuzz_exits_0_or_2(argv):
+    _assert_exits_0_or_2(argv)
+
+
+# Files the other leaves read: a good one, an empty one and broken ones.
+_FILES = {
+    "field": "010\n101\n010\n",
+    "ragged_field": "01\n1\n",
+    "letter_field": "0a\n10\n",
+    "pmf": "outcome,numerator,denominator\n00,1,2\n11,1,2\n",
+    "bad_pmf": "outcome,numerator,denominator\n0x,1,0\n",
+    "no_outcome": "numerator,denominator\n1,2\n",
+    "empty": "",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+_small = st.integers(-2, 6)
+# valid values are drawn more often than each kind of invalid one
+_density = st.sampled_from(("0", "1", "1/2", "0.3", "0.7", "1/3", "2", "-1",
+                            "1/0", "nan", "x"))
+_workers = st.sampled_from((1, 1, 1, 0, -1))
+
+
+def _ints(draw, lo, hi):
+    return ",".join(str(i) for i in draw(st.lists(st.integers(lo, hi),
+                                                  max_size=4)))
+
+
+@st.composite
+def _other_argv(draw):
+    group, op = draw(st.sampled_from((
+        ("schedule", "survive"), ("schedule", "curve"),
+        ("schedule", "coupling"), ("schedule", "undirected"),
+        ("schedule", "kwise"), ("compat", "decide"), ("compat", "oracle"),
+        ("compat", "cert"), ("compat", "mc"), ("lattice", "blocks"),
+        ("lattice", "embed2d"), ("lattice", "visible"), ("lattice", "abscan"),
+        ("env", "column"), ("env", "kwise"))))
+    argv = [group, op]
+
+    def flag(name, value):
+        argv.extend(["--" + name, str(value)])
+
+    def maybe(name, strategy):
+        if draw(st.booleans()):
+            flag(name, draw(strategy))
+
+    if group == "schedule":
+        if op != "kwise":
+            flag("M", draw(_small))
+        if op == "survive":
+            flag("depth", draw(st.integers(-1, 6)))
+            if draw(st.booleans()):
+                flag("x", _ints(draw, 1, 4))
+                maybe("y", st.just(_ints(draw, 1, 4)))
+        elif op == "curve":
+            flag("depths", _ints(draw, -1, 8))
+        elif op == "coupling":
+            flag("k", draw(st.integers(-1, 3)))
+            flag("depth", draw(st.integers(-1, 6)))
+        elif op == "undirected":
+            flag("box", draw(st.integers(-1, 4)))
+        else:
+            flag("M", draw(st.integers(-1, 4)))
+            vertex = st.one_of(
+                st.builds("{},{}".format, st.integers(-1, 3),
+                          st.integers(-1, 3)),
+                st.builds(_ints, st.just(draw), st.just(-1), st.just(3)))
+            flag("vertices", ";".join(draw(st.lists(vertex, min_size=1,
+                                                    max_size=3))))
+            maybe("max-terms", st.integers(-1, 10**4))
+    elif group == "compat":
+        if op == "mc":
+            flag("p", ",".join(draw(st.lists(_density, min_size=1,
+                                             max_size=2))))
+            flag("n", _ints(draw, -1, 24))
+        else:
+            flag("x", draw(_literals))
+            flag("y", draw(_literals))
+            if op == "oracle":
+                maybe("budget", st.integers(-1, 16))
+    elif group == "lattice":
+        if op == "blocks":                    # --p is required there
+            flag("p", draw(_density))
+            flag("R", draw(st.integers(-1, 3)))
+        elif op == "embed2d":
+            maybe("p", _density)
+            flag("R", draw(st.integers(-1, 3)))
+            flag("depth", draw(st.integers(-1, 5)))
+            maybe("word", _literals)
+            maybe("word-length", st.integers(-1, 8))
+        elif op == "visible":
+            flag("field", "{%s}" % draw(st.sampled_from(
+                ("field", "ragged_field", "letter_field", "empty",
+                 "missing"))))
+            flag("origin", _ints(draw, -1, 3))
+            flag("word", draw(_literals))
+            maybe("lattice", st.sampled_from(("square", "triangular",
+                                              "hexagonal")))
+            maybe("budget", st.integers(-1, 50))
+        else:
+            maybe("p", _density)
+            flag("box", draw(st.integers(-1, 4)))
+            maybe("budget", st.integers(-1, 50))
+    else:
+        if op == "column":
+            entry = st.builds("{}:{}".format, _density, _density)
+            flag("mu", ",".join(draw(st.lists(entry, min_size=1,
+                                              max_size=3))))
+            flag("box", draw(st.integers(-1, 4)))
+        else:
+            flag("pmf", "{%s}" % draw(st.sampled_from(
+                ("pmf", "bad_pmf", "no_outcome", "empty", "missing"))))
+            flag("k", draw(st.integers(-1, 3)))
+    if op in ("curve", "coupling", "undirected", "mc", "blocks", "abscan",
+              "column"):
+        flag("replicas", draw(st.integers(-1, 5)))
+        flag("workers", draw(_workers))
+    if op in ("survive", "embed2d") or "--replicas" in argv:
+        maybe("seed", st.integers(-3, 3))
+    return argv
+
+
+@given(_other_argv())
+@settings(max_examples=300, deadline=None)
+def test_other_argv_fuzz_exits_0_or_2(fuzz_files, argv):
+    _assert_exits_0_or_2([a.replace("{", str(fuzz_files) + "/").rstrip("}")
+                          if a.startswith("{") else a for a in argv])

@@ -3,16 +3,19 @@ from hypothesis import given, settings, strategies as st
 
 from clairvoyant.compatibility import (
     DeletionWitness,
+    _compatible_bits,
+    _horizon_bits,
     compat_oracle,
     compatible,
     compatible_prefix,
     majority_certificate,
+    psi_curve_mc,
     psi_mc,
     validate_deletion,
 )
 from clairvoyant.errors import BudgetError
 from clairvoyant.rng import RngSpec
-from clairvoyant.words import Word
+from clairvoyant.words import Word, pack_mask
 
 from oracles import brute_compatible
 
@@ -151,3 +154,31 @@ def test_psi_mc_deterministic_and_coupled():
         psi_mc(1.2, 20, 10, rng)
     with pytest.raises(ValueError):
         psi_mc(0.5, 0, 10, rng)
+
+
+def test_horizon_matches_every_prefix_of_random_pairs():
+    g = RngSpec(61).generator()
+    for _ in range(3000):
+        N = int(g.integers(1, 80))
+        p = float(g.random())
+        xbits = pack_mask(g.random(N) < p)
+        ybits = pack_mask(g.random(N) < p)
+        T = _horizon_bits(xbits, ybits, N)
+        for n in range(1, N + 1):
+            m = (1 << n) - 1
+            assert (T >= n) == _compatible_bits(xbits & m, n, ybits & m, n), \
+                (xbits, ybits, N, n, T)
+
+
+def test_psi_curve_equals_psi_mc_per_horizon():
+    rng = RngSpec(62)
+    ns = [40, 5, 20, 1]
+    for p in (0.3, 0.5, 0.7):
+        curve = psi_curve_mc(p, ns, 300, rng)
+        assert curve == [psi_mc(p, n, 300, rng) for n in ns]
+    assert psi_curve_mc(0.5, ns, 300, rng, workers=3) \
+        == psi_curve_mc(0.5, ns, 300, rng)
+    with pytest.raises(ValueError):
+        psi_curve_mc(0.5, [], 10, rng)
+    with pytest.raises(ValueError):
+        psi_curve_mc(0.5, [3, 0], 10, rng)

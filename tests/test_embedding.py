@@ -184,12 +184,13 @@ def test_extremal_scan_matches_enumeration():
 
 
 def test_budget_refusals():
-    # 2**24 words of 24 letters each need at least 24 * 2**24 state-steps
+    # 2**24 words of 24 letters each need at least 24 * 2**24 mask-steps
     with pytest.raises(BudgetError):
         extremal_scan(24, 1)
-    # exact state-step counts: live states summed over the letters of y
-    ALT4_M2_STEPS = 24
-    SCAN_3_2_STEPS = 104
+    # exact mask-step counts: live states summed over the letters of y
+    # (24 for alternating-4 at M = 2, 104 over the 3/2 scan), M masks each
+    ALT4_M2_STEPS = 2 * 24
+    SCAN_3_2_STEPS = 2 * 104
     with pytest.raises(BudgetError):
         embed_prob_exact(alternating_word(4), 2, budget=ALT4_M2_STEPS - 1)
     assert embed_prob_exact(alternating_word(4), 2, budget=ALT4_M2_STEPS) \

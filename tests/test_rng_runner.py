@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
+from clairvoyant import rng as rng_module
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
 from clairvoyant.runner import chunk_bounds, run_chunked
@@ -33,6 +37,86 @@ def test_rng_rejects_negative_stream():
     with pytest.raises(ValueError):
         RngSpec(1, -1)
     assert RngSpec(1).stream(3).stream_id == 3
+
+
+def _fresh(seed, k):
+    key = np.array([seed % 2**64, k], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+_DRAWS = (
+    lambda g: g.random(7),
+    lambda g: g.integers(0, 10, size=9),
+    lambda g: g.integers(-5, 300, size=6, dtype=np.int32),
+    lambda g: g.random((3, 4)),
+    lambda g: g.uniform(2.0, 5.0, size=5),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
+def test_reused_generator_draws_equal_fresh_philox(seed):
+    for k in range(200):
+        for draw in _DRAWS:
+            assert (draw(RngSpec(seed, k).generator())
+                    == draw(_fresh(seed, k))).all()
+
+
+def test_dropped_generator_is_reused():
+    RngSpec(3, 0).generator().random(5)
+    kept = id(rng_module._last)
+    RngSpec(3, 1).generator().random(5)
+    assert id(rng_module._last) == kept
+
+
+def test_held_generator_keeps_its_stream():
+    held = RngSpec(5, 1).generator()
+    first = held.random(3)
+    other = RngSpec(5, 2).generator()
+    assert other is not held
+    other.random(10)
+    del other
+    RngSpec(5, 3).generator().random(10)
+    ref = _fresh(5, 1)
+    assert (first == ref.random(3)).all()
+    assert (held.random(4) == ref.random(4)).all()
+
+
+def test_held_bit_generator_keeps_its_stream():
+    bits = RngSpec(5, 4).generator().bit_generator
+    first = bits.random_raw(2)
+    RngSpec(5, 6).generator().random(10)
+    RngSpec(5, 7).generator().random(10)
+    ref = _fresh(5, 4).bit_generator
+    assert (first == ref.random_raw(2)).all()
+    assert (bits.random_raw(3) == ref.random_raw(3)).all()
+
+
+def test_generator_reuse_across_threads():
+    # four threads ask for streams at a fine switch interval; a generator
+    # rewound under a thread that holds it would give that thread wrong draws
+    want = {k: _fresh(9, k).random(6) for k in range(400)}
+    bad = []
+
+    def work(offset):
+        for k in range(offset, 400, 4):
+            g = RngSpec(9, k).generator()
+            first = g.random(3)
+            if not ((first == want[k][:3]).all()
+                    and (g.random(3) == want[k][3:]).all()):
+                bad.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_estimate_from_samples():
