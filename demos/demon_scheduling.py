@@ -29,14 +29,14 @@ else:
     print("schedule found:", " ".join("(%d,%d)" % s for s in witness.steps))
 print()
 
-# survival frequency by depth: M = 3 appears to die out while M = 4 and 5
+# survival frequency by depth: M = 3 appears to die out while M = 4..6
 # flatten, matching the believed phase transition between M = 3 and 4
-depths = [5, 10, 20, 40, 80]
+depths = [5, 10, 20, 40, 80, 200, 1000]
 print("depth    " + "".join("%8d" % d for d in depths))
-for M in (3, 4, 5):
-    curve = survival_curve_mc(M, depths, replicas=4000, rng=RngSpec(0))
+for M in (3, 4, 5, 6):
+    curve = survival_curve_mc(M, depths, replicas=1000, rng=RngSpec(0))
     print("M = %d  " % M + "".join("%8.4f" % e.mean for e in curve))
-print("(4000 replicas each; one sample serves every depth, so each row is")
+print("(1000 replicas each; one sample serves every depth, so each row is")
 print(" monotone sample by sample)")
 print()
 

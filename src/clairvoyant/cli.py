@@ -631,6 +631,9 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print("error: zero denominator: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return 2
     except PropertyViolation as exc:
         print("property violation: %s" % exc, file=sys.stderr)
         return 1

@@ -5,6 +5,12 @@ is open when X_i != Y_j, and the scheduler survives to depth n when a
 monotone lattice path from the origin reaches the antidiagonal i + j = n
 through open vertices.  The origin itself is declared open.
 
+Survival is swept one antidiagonal at a time on Python-int bitsets: bit u
+of the level-d frontier f is cell (u, d - u).  X_a has bit u where x[u] == a;
+Yrev_a has bit k where y[D - k] == a, y read backwards from D, the deepest
+level swept.  Yrev_a >> (D - d) has bit u where y[d - u] == a, so level d is
+f = (f | f << 1) & ~OR_a(X_a & (Yrev_a >> (D - d))), in linear memory.
+
 Index 0 of each walk is its starting point, so the axis vertices (i, 0) and
 (0, j) compare against Y_0 and X_0 respectively.  The open field is 3-wise
 but not 4-wise independent; `kwise_joint` computes exact joint laws by
@@ -24,7 +30,7 @@ from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
-from .words import IntSequence
+from .words import IntSequence, pack_mask
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,8 @@ def sample_grid(M: int, depth: int, rng: RngSpec) -> ScheduleGrid:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     g = rng.generator()
-    xv = tuple(int(v) for v in g.integers(1, M + 1, size=depth + 1))
-    yv = tuple(int(v) for v in g.integers(1, M + 1, size=depth + 1))
+    xv = tuple(g.integers(1, M + 1, size=depth + 1).tolist())
+    yv = tuple(g.integers(1, M + 1, size=depth + 1).tolist())
     return ScheduleGrid(IntSequence(xv, M), IntSequence(yv, M))
 
 
@@ -88,33 +94,26 @@ def validate_path(witness: PathWitness, grid: ScheduleGrid) -> bool:
 
 
 def _frontier_sweep(grid: ScheduleGrid, depth: int, keep: bool):
-    """Run the antidiagonal frontier DP; optionally keep every frontier."""
-    xv = np.asarray(grid.x.values)
-    yv = np.asarray(grid.y.values)
-    nx = len(xv) - 1
-    ny = len(yv) - 1
-    open_uv = xv[:, None] != yv[None, :]
-    f = np.zeros(nx + 1, dtype=bool)
-    f[0] = True
+    """The sweep of the module docstring with D = depth <= grid.depth, so
+    every cell it visits lies in the grid; keep=True keeps every frontier.
+    Letters missing from either walk close nothing and are skipped.
+    """
+    xv = np.asarray(grid.x.values[:depth + 1])
+    yrev = np.asarray(grid.y.values[depth::-1])
+    masks = [(pack_mask(xv == a), pack_mask(yrev == a))
+             for a in np.intersect1d(xv, yrev)]
+    f = 1
     frontiers = [f]
-    d = 0
-    while d < depth:
-        d += 1
-        nf = f.copy()
-        nf[1:] |= f[:-1]
-        u0 = max(0, d - ny)
-        u1 = min(nx, d)
-        ok = np.zeros(nx + 1, dtype=bool)
-        us = np.arange(u0, u1 + 1)
-        ok[us] = open_uv[us, d - us]
-        nf &= ok
-        if not nf.any():
+    for d in range(1, depth + 1):
+        shift = depth - d
+        closed = 0
+        for xa, ya in masks:
+            closed |= xa & (ya >> shift)
+        f = (f | f << 1) & ~closed
+        if not f:
             return d - 1, frontiers
         if keep:
-            frontiers.append(nf)
-        else:
-            frontiers = [nf]
-        f = nf
+            frontiers.append(f)
     return depth, frontiers
 
 
@@ -134,10 +133,11 @@ def directed_survival(grid: ScheduleGrid, depth: int) -> PathWitness | None:
     reached, frontiers = _frontier_sweep(grid, depth, keep=True)
     if reached < depth:
         return None
-    u = int(np.flatnonzero(frontiers[depth])[0])
+    last = frontiers[depth]
+    u = (last & -last).bit_length() - 1
     steps = [(u, depth - u)]
     for d in range(depth - 1, -1, -1):
-        if not frontiers[d][u]:
+        if not frontiers[d] >> u & 1:
             u -= 1
         steps.append((u, d - u))
     steps.reverse()
@@ -189,18 +189,15 @@ def _coupling_replica(spec: RngSpec, M: int, k: int,
     yb = g.integers(1, big_m + 1, size=depth + 1)
     xr = (xb - 1) % M + 1
     yr = (yb - 1) % M + 1
-    # reduced-open at (i,j) must imply big-open there
-    bad = (xr[:, None] != yr[None, :]) & ~(xb[:, None] != yb[None, :])
-    big = ScheduleGrid(
-        IntSequence(tuple(int(v) for v in xb), big_m),
-        IntSequence(tuple(int(v) for v in yb), big_m),
-    )
-    red = ScheduleGrid(
-        IntSequence(tuple(int(v) for v in xr), M),
-        IntSequence(tuple(int(v) for v in yr), M),
-    )
-    return (bool(bad.any()), survival_depth(red) >= depth,
-            survival_depth(big) >= depth)
+    # reduced-open at (i,j) must imply big-open there: the rows and columns
+    # carrying one big letter b must share one reduced letter
+    bad = any(np.unique(np.concatenate((xr[xb == b], yr[yb == b]))).size > 1
+              for b in np.intersect1d(xb, yb))
+    big = ScheduleGrid(IntSequence(tuple(xb.tolist()), big_m),
+                       IntSequence(tuple(yb.tolist()), big_m))
+    red = ScheduleGrid(IntSequence(tuple(xr.tolist()), M),
+                       IntSequence(tuple(yr.tolist()), M))
+    return bad, survival_depth(red) >= depth, survival_depth(big) >= depth
 
 
 def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,

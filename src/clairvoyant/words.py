@@ -204,7 +204,8 @@ class IntSequence:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("alphabet size M must be >= 2")
-        if any(not 1 <= v <= self.M for v in self.values):
+        if self.values and (min(self.values) < 1
+                            or max(self.values) > self.M):
             raise ValueError("values must lie in 1..M")
 
     @classmethod
@@ -229,5 +230,4 @@ def sample_uniform_sequence(M: int, n: int, rng: RngSpec) -> IntSequence:
     if n < 1:
         raise ValueError("n must be >= 1")
     g = rng.generator()
-    vals = g.integers(1, M + 1, size=n)
-    return IntSequence(tuple(int(v) for v in vals), M)
+    return IntSequence(tuple(g.integers(1, M + 1, size=n).tolist()), M)

@@ -1,10 +1,12 @@
 """Brute-force reference implementations used to pin test expectations.
 
 Everything here favors obviousness over speed: plain recursion, explicit
-enumeration, no bit tricks.  The one exception is ``enum_embed_counts``,
+enumeration, no bit tricks.  The exceptions are ``enum_embed_counts``,
 which runs the frontier sweep on every target at once with numpy so full
-scans stay affordable.  The package must agree with these on every
-instance small enough to enumerate.
+scans stay affordable, and ``antidiagonal_survival_depth``, the numpy
+antidiagonal sweep that checks the package's bitset sweep on grids far
+deeper than ``brute_path_survives`` can try.  The package must agree with
+these on every instance small enough to enumerate.
 """
 
 from fractions import Fraction
@@ -113,6 +115,33 @@ def brute_path_survives(grid, depth):
         if ok:
             return True
     return False
+
+
+def antidiagonal_survival_depth(grid, max_depth=None):
+    """Survival depth by a numpy sweep over the (d+1)^2 openness matrix."""
+    depth = grid.depth if max_depth is None else min(max_depth, grid.depth)
+    xv = np.asarray(grid.x.values)
+    yv = np.asarray(grid.y.values)
+    nx = len(xv) - 1
+    ny = len(yv) - 1
+    open_uv = xv[:, None] != yv[None, :]
+    f = np.zeros(nx + 1, dtype=bool)
+    f[0] = True
+    d = 0
+    while d < depth:
+        d += 1
+        nf = f.copy()
+        nf[1:] |= f[:-1]
+        u0 = max(0, d - ny)
+        u1 = min(nx, d)
+        ok = np.zeros(nx + 1, dtype=bool)
+        us = np.arange(u0, u1 + 1)
+        ok[us] = open_uv[us, d - us]
+        nf &= ok
+        if not nf.any():
+            return d - 1
+        f = nf
+    return depth
 
 
 def brute_compatible(x_letters, y_letters):

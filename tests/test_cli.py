@@ -210,6 +210,17 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _out_of_memory(args):
+    raise MemoryError("forced")
+
+
+# rows whose handler is replaced, so that the failure needs no real input
+_FORCED = {
+    "schedule undirected --M 2 --box 3 --replicas 1":
+        ("_do_schedule_undirected", _out_of_memory),
+}
+
+
 @pytest.mark.parametrize("argv", [
     "embed mc --M 0 --n 5",
     "embed mc --M 0 --n 5 --target alternating",
@@ -232,8 +243,12 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     "embed decide --v 01 --y 01 --M 1 --seed 3",
     "schedule survive --M 2 --depth 1 --replicas 5",
     "lattice embed2d --R 2 --depth 3 --word 01 --workers 2",
+    # running out of memory, forced by a patched handler (see _FORCED)
+    "schedule undirected --M 2 --box 3 --replicas 1",
 ])
-def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
+def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
+    if argv in _FORCED:
+        monkeypatch.setattr(cli, *_FORCED[argv])
     no_outcome = tmp_path / "no_outcome.csv"
     no_outcome.write_text("numerator,denominator\n1,2\n")
     field = tmp_path / "field.txt"

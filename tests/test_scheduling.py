@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from clairvoyant.errors import BudgetError, PropertyViolation
@@ -20,7 +22,7 @@ from clairvoyant.scheduling import (
 )
 from clairvoyant.words import IntSequence
 
-from oracles import brute_path_survives
+from oracles import antidiagonal_survival_depth, brute_path_survives
 
 
 def grid_of(xv, yv, M):
@@ -83,6 +85,41 @@ def test_survival_depth_is_the_frontier_edge():
             assert directed_survival(g, d + 1) is None
     with pytest.raises(ValueError):
         directed_survival(g, 15)
+
+
+def test_bitset_sweep_matches_antidiagonal_oracle():
+    g = np.random.default_rng(2011)
+    for k in range(2400):
+        M = 2 + k % 7
+        nx, ny = g.integers(0, 301, size=2)
+        if k % 3 == 0:
+            ny = nx
+        x = IntSequence(tuple(g.integers(1, M + 1, size=nx + 1).tolist()), M)
+        y = IntSequence(tuple(g.integers(1, M + 1, size=ny + 1).tolist()), M)
+        grid = ScheduleGrid(x, y)
+        cap = None if k % 4 else int(g.integers(0, 320))
+        assert survival_depth(grid, cap) == \
+            antidiagonal_survival_depth(grid, cap), (k, cap)
+    rng = RngSpec(2000)
+    for k in range(30):
+        grid = sample_grid(4 + k % 3, 200, rng.stream(k))
+        wit = directed_survival(grid, 200)
+        assert (wit is not None) == (antidiagonal_survival_depth(grid) == 200)
+        if wit is not None:
+            assert validate_path(wit, grid)
+
+
+def test_deep_kernels_run_in_linear_memory():
+    # an O(depth^2) grid would need ~400 MB at depth 20000
+    rng = RngSpec(9)
+    tracemalloc.start()
+    try:
+        survival_curve_mc(2, [20000], 1, rng)
+        coupling_check(2, 2, 20000, 1, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_curve_monotone_and_deterministic():
