@@ -4,7 +4,9 @@ The column model ties percolation to a random environment: column i of the
 box receives a density X_i drawn from a finite distribution mu, and every
 vertex (i, j) is then open with probability X_i independently.  Dependence
 runs along columns (the vertical direction), so the horizontal crossing of
-a box is the statistic that feels the environment.
+a box is the statistic that feels the environment.  The crossing floods the
+open cells 4-connected from column 0 with `lattice.flood`, one BFS layer at
+a time, and stops as soon as the flood reaches column n-1.
 
 `JointPmf` and `kwise_test` are the generic exact machinery: a joint law of
 binary variables as rationals, and a subset-by-subset product-form check.
@@ -18,13 +20,11 @@ from itertools import combinations, product
 from typing import Mapping
 
 import numpy as np
-from scipy import ndimage
 
+from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
-
-_CROSS_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,10 @@ def sample_environment(mu: FiniteDistribution, n: int,
 
 def crosses_horizontally(config: np.ndarray) -> bool:
     """Whether an open 4-connected cluster joins column 0 to column n-1."""
-    labels, count = ndimage.label(config, structure=_CROSS_STRUCTURE)
-    if count == 0:
-        return False
-    left = set(labels[0, :][config[0, :]].tolist())
-    right = set(labels[-1, :][config[-1, :]].tolist())
-    return bool(left & right)
+    bits, stride = pack_box(config)
+    last = (config.shape[0] - 1) * stride
+    return any(seen >> last for seen in
+               flood(bits, stride, LatticeKind.SQUARE, (1 << stride) - 1))
 
 
 def _column_replica(spec: RngSpec, mu: FiniteDistribution, n: int) -> bool:

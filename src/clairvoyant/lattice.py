@@ -9,24 +9,25 @@ two-dimensionally with L1 gaps at most 5R.
 Visible words are read along self-avoiding walks on a site configuration
 over one of three planar lattices (square, triangular, close-packed).  The
 search is exact DFS; a node-expansion budget turns long searches into an
-explicit third outcome instead of a silent wrong answer.
+explicit third outcome instead of a silent wrong answer.  The constant word
+is pruned first: it needs a letter-cluster of n cells next to the origin.
+`flood`, on a box `pack_box` packs into one int, finds that cluster, and
+also serves the environment crossing and the undirected scheduling escape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
-from .words import Word, alternating_word, constant_word
+from .words import Word, alternating_word, constant_word, pack_mask
 
 
 class LatticeKind(Enum):
@@ -37,14 +38,6 @@ class LatticeKind(Enum):
     @property
     def offsets(self) -> tuple[tuple[int, int], ...]:
         return _OFFSETS[self]
-
-    @property
-    def structure(self) -> np.ndarray:
-        s = np.zeros((3, 3), dtype=bool)
-        s[1, 1] = True
-        for di, dj in self.offsets:
-            s[1 + di, 1 + dj] = True
-        return s
 
     @classmethod
     def parse(cls, name: str) -> "LatticeKind":
@@ -62,6 +55,34 @@ _OFFSETS = {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
     ),
 }
+
+
+def pack_box(cells: np.ndarray) -> tuple[int, int]:
+    """(bits, stride): cell (i, j) of an H x W 0/1 array is bit i*stride + j.
+
+    stride = W + 1 leaves column W empty, so no lattice step wraps a row.
+    """
+    h, w = cells.shape
+    padded = np.zeros((h, w + 1), dtype=bool)
+    padded[:, :w] = cells
+    return pack_mask(padded.ravel()), w + 1
+
+
+def flood(bits: int, stride: int, kind: LatticeKind, seed: int):
+    """Yield the cells of bits reached from seed & bits, one BFS layer more
+    each time: front = OR_s(front << s) & bits & ~seen, s = di*stride + dj.
+    """
+    shifts = [di * stride + dj for di, dj in kind.offsets]
+    seen = front = seed & bits
+    unseen = bits ^ front
+    while front:
+        yield seen
+        grown = 0
+        for s in shifts:
+            grown |= front << s if s > 0 else front >> -s
+        front = grown & unseen
+        unseen ^= front
+        seen |= front
 
 
 @dataclass(frozen=True)
@@ -168,13 +189,7 @@ def block_percolation(field: Field2D, R: int,
         )
     if not bg.good[0, 0]:
         return None
-    masks = [0] * (nbi + 1)
-    for i in range(1, nbi + 1):
-        m = 0
-        row = bg.good[i - 1]
-        for j in np.flatnonzero(row):
-            m |= 1 << (int(j) + 1)
-        masks[i] = m
+    masks = [0] + [pack_mask(row) << 1 for row in bg.good]
     frontiers = [1 << 1]
     f = 1 << 1
     for t in range(1, depth + 1):
@@ -280,19 +295,20 @@ def _adjacency(shape: tuple[int, int],
 
 def _constant_prune(cells: np.ndarray, kind: LatticeKind,
                     origin: tuple[int, int], letter: int, n: int) -> bool:
-    """True if no letter-cluster next to the origin can hold an n-path."""
-    match = cells == letter
-    labels, count = ndimage.label(match, structure=kind.structure)
-    if count == 0:
-        return True
-    sizes = np.bincount(labels.ravel())
+    """True if no letter-cluster next to the origin can hold an n-path.
+
+    Each cluster found smaller than n leaves bits, so it is flooded once.
+    """
+    bits, stride = pack_box(cells == letter)
     h, w = cells.shape
     i, j = origin
     for di, dj in kind.offsets:
         a, b = i + di, j + dj
-        if 0 <= a < h and 0 <= b < w and match[a, b] \
-                and sizes[labels[a, b]] >= n:
-            return False
+        if 0 <= a < h and 0 <= b < w and bits >> (a * stride + b) & 1:
+            for seen in flood(bits, stride, kind, 1 << (a * stride + b)):
+                if seen.bit_count() >= n:
+                    return False
+            bits ^= seen
     return True
 
 
@@ -322,38 +338,27 @@ def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
     visited = bytearray(h * wd)
     visited[start] = 1
     path = [start]
-    cursor = [0]
+    untried = [iter(adj[start])]  # neighbors each path cell has yet to try
     expansions = 1
     if budget is not None and expansions > budget:
         return Visibility.EXHAUSTED
-    while True:
+    while untried:
         k = len(path) - 1  # letters matched so far
-        v = path[-1]
-        idx = cursor[-1]
-        nbrs = adj[v]
-        moved = False
-        while idx < len(nbrs):
-            u = nbrs[idx]
-            idx += 1
+        for u in untried[-1]:
             if not visited[u] and flat[u] == letters[k]:
-                cursor[-1] = idx
-                visited[u] = 1
-                path.append(u)
-                cursor.append(0)
                 if k + 1 == n:
                     return Visibility.FOUND
                 expansions += 1
                 if budget is not None and expansions > budget:
                     return Visibility.EXHAUSTED
-                moved = True
+                visited[u] = 1
+                path.append(u)
+                untried.append(iter(adj[u]))
                 break
-        if moved:
-            continue
-        cursor[-1] = idx
-        visited[path.pop()] = 0
-        cursor.pop()
-        if not path:
-            return Visibility.ABSENT
+        else:
+            visited[path.pop()] = 0
+            untried.pop()
+    return Visibility.ABSENT
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .environment import JointPmf
 from .errors import BudgetError, PropertyViolation
+from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
@@ -119,6 +120,8 @@ def _frontier_sweep(grid: ScheduleGrid, depth: int, keep: bool):
 
 def survival_depth(grid: ScheduleGrid, max_depth: int | None = None) -> int:
     """Largest d <= max_depth reachable by a monotone open path."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     limit = grid.depth if max_depth is None else min(max_depth, grid.depth)
     reached, _ = _frontier_sweep(grid, limit, keep=False)
     return reached
@@ -237,30 +240,22 @@ def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
     """Whether the origin's open cluster reaches the boundary of [0, box]^2.
 
     Adjacency is the undirected 4-neighbor one, restricted to the quadrant.
+    The box is packed by `lattice.pack_box` and flooded from the origin one
+    BFS layer at a time until a layer touches row or column box.
     """
     if box < 0:
         raise ValueError("box must be >= 0")
     if box > grid.depth:
         raise ValueError("grid has only %d levels" % grid.depth)
-    if box == 0:
-        return True
     xv = np.asarray(grid.x.values[:box + 1])
     yv = np.asarray(grid.y.values[:box + 1])
     open_uv = xv[:, None] != yv[None, :]
     open_uv[0, 0] = True
-    seen = np.zeros_like(open_uv, dtype=bool)
-    seen[0, 0] = True
-    stack = [(0, 0)]
-    while stack:
-        i, j = stack.pop()
-        if i == box or j == box:
-            return True
-        for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if 0 <= a <= box and 0 <= b <= box and not seen[a, b] \
-                    and open_uv[a, b]:
-                seen[a, b] = True
-                stack.append((a, b))
-    return False
+    bits, stride = pack_box(open_uv)
+    span = np.arange(box + 1)
+    border, _ = pack_box(np.maximum.outer(span, span) == box)
+    return any(seen & border for seen in
+               flood(bits, stride, LatticeKind.SQUARE, 1))
 
 
 def _escape_replica(spec: RngSpec, M: int, box: int) -> bool:

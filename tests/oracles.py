@@ -206,6 +206,39 @@ def brute_crossing(config):
     return False
 
 
+def brute_cluster(open_cells, offsets, start):
+    """The cells of the open cluster holding start, by plain graph search."""
+    h, w = open_cells.shape
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        i, j = frontier.pop()
+        for di, dj in offsets:
+            a, b = i + di, j + dj
+            if 0 <= a < h and 0 <= b < w and (a, b) not in seen \
+                    and open_cells[a, b]:
+                seen.add((a, b))
+                frontier.append((a, b))
+    return seen
+
+
+def brute_escape(grid, box):
+    """Whether the origin's 4-connected open cluster in [0, box]^2 touches
+    row or column box, by plain graph search on grid.is_open."""
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        i, j = frontier.pop()
+        if i == box or j == box:
+            return True
+        for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if 0 <= a <= box and 0 <= b <= box and (a, b) not in seen \
+                    and grid.is_open(a, b):
+                seen.add((a, b))
+                frontier.append((a, b))
+    return False
+
+
 def brute_block_reachable(good, depth):
     """Directed reachability over (i+1,j+1)/(i+1,j+2) from block (1,1)."""
     nbi, nbj = good.shape

@@ -3,6 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +21,18 @@ def run_csv(tmp_path, argv, name="out.csv"):
         rows = list(csv.DictReader(fh))
     manifest = json.loads((tmp_path / (name + ".manifest.json")).read_text())
     return rows, manifest, out
+
+
+def test_startup_imports_no_scipy():
+    # scipy.ndimage alone took about half of every CLI run's start-up
+    code = ("import sys, clairvoyant, clairvoyant.cli\n"
+            "clairvoyant.cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_recursion_output(tmp_path):

@@ -120,6 +120,10 @@ def test_crossing_matches_brute_force():
     for _ in range(120):
         config = rng.random((5, 5)) < rng.uniform(0.2, 0.8)
         assert crosses_horizontally(config) == brute_crossing(config)
+    for _ in range(400):
+        shape = tuple(int(v) for v in rng.integers(1, 10, size=2))
+        config = rng.random(shape) < rng.uniform(0.2, 0.8)
+        assert crosses_horizontally(config) == brute_crossing(config), config
 
 
 def test_column_percolation_endpoints():

@@ -26,7 +26,7 @@ from clairvoyant.lattice import (
 from clairvoyant.rng import RngSpec
 from clairvoyant.words import Word, alternating_word, constant_word
 
-from oracles import brute_block_reachable, brute_visible_words
+from oracles import brute_block_reachable, brute_cluster, brute_visible_words
 
 
 def test_block_good_prob_values():
@@ -183,10 +183,6 @@ def test_lattice_kinds():
     assert len(LatticeKind.SQUARE.offsets) == 4
     assert len(LatticeKind.TRIANGULAR.offsets) == 6
     assert len(LatticeKind.CLOSE_PACKED.offsets) == 8
-    for kind in LatticeKind:
-        s = kind.structure
-        assert s[1, 1]
-        assert s.sum() == len(kind.offsets) + 1
 
 
 def test_visible_word_tiny_examples():
@@ -217,6 +213,31 @@ def test_visible_word_matches_brute_force():
                     expect = Visibility.FOUND if wl in seen else Visibility.ABSENT
                     got = visible_word(cells, kind, origin, Word.from_letters(wl))
                     assert got is expect, (trial, kind, origin, wl)
+
+
+def test_constant_word_prune_is_the_cluster_size():
+    # with budget 0 the DFS stops at once, so only the cluster-size prune
+    # can answer ABSENT: exactly when no letter-cluster touching the origin
+    # (through a neighbor carrying the letter) has n cells
+    rng = RngSpec(260).generator()
+    for trial in range(300):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        cells = (rng.random((h, w)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        origin = (int(rng.integers(0, h)), int(rng.integers(0, w)))
+        letter = int(rng.integers(0, 2))
+        n = int(rng.integers(1, h * w + 2))
+        for kind in LatticeKind:
+            sizes = [
+                len(brute_cluster(cells == letter, kind.offsets, (a, b)))
+                for a, b in ((origin[0] + di, origin[1] + dj)
+                             for di, dj in kind.offsets)
+                if 0 <= a < h and 0 <= b < w and cells[a, b] == letter
+            ]
+            expect = Visibility.EXHAUSTED if any(s >= n for s in sizes) \
+                else Visibility.ABSENT
+            got = visible_word(cells, kind, origin,
+                               constant_word(n, letter=letter), budget=0)
+            assert got is expect, (trial, kind, origin, letter, n)
 
 
 def test_visible_word_budget():

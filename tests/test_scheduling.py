@@ -22,7 +22,11 @@ from clairvoyant.scheduling import (
 )
 from clairvoyant.words import IntSequence
 
-from oracles import antidiagonal_survival_depth, brute_path_survives
+from oracles import (
+    antidiagonal_survival_depth,
+    brute_escape,
+    brute_path_survives,
+)
 
 
 def grid_of(xv, yv, M):
@@ -85,6 +89,13 @@ def test_survival_depth_is_the_frontier_edge():
             assert directed_survival(g, d + 1) is None
     with pytest.raises(ValueError):
         directed_survival(g, 15)
+
+
+def test_survival_depth_rejects_a_negative_cap():
+    g = sample_grid(4, 10, RngSpec(1))
+    assert survival_depth(g, 0) == 0
+    with pytest.raises(ValueError):
+        survival_depth(g, -5)
 
 
 def test_bitset_sweep_matches_antidiagonal_oracle():
@@ -180,6 +191,17 @@ def test_undirected_escape_needs_a_connected_route():
     assert undirected_escape(g, 2)
     # shrinking to value-equal walks removes every route
     assert not undirected_escape(grid_of((1, 1, 1), (1, 1, 1), 2), 2)
+
+
+def test_undirected_escape_matches_brute_force():
+    rng = RngSpec(22)
+    pick = np.random.default_rng(22)
+    for k in range(400):
+        M = int(pick.integers(2, 5))
+        box = int(pick.integers(0, 15))
+        grid = sample_grid(M, box, rng.stream(k))
+        assert undirected_escape(grid, box) == brute_escape(grid, box), \
+            (k, M, box)
 
 
 def test_undirected_mc_deterministic():
