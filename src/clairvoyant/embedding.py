@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
@@ -130,43 +128,57 @@ def embed_count(v: Word, y: Word, M: int) -> int:
     return sum(counts)
 
 
-def _automaton_counts(words_bits: list[int], n: int, M: int,
-                      budget: int) -> list[int]:
+def _automaton_counts(words_bits: list[int], n: int, M: int, budget: int,
+                      copies: int = 1) -> list[int]:
     """For each word, how many y in {0,1}^(M*n) it M-embeds into.
 
     Reads y left to right.  A state holds M bitmasks; mask a has bit i set
-    iff v_1..v_i can end a letters back.  Equal states merge, carrying how
-    many y prefixes reach them; a state whose newest mask has bit n accepts
-    every continuation, an all-empty one none.  Each live state costs its M
-    masks per letter, and BudgetError is raised once these mask-steps
+    iff v_1..v_i can end a letters back.  The state is packed in one int:
+    mask a fills bits a*(n+1) .. a*(n+1) + n, so mask 0 (the newest) sits
+    lowest and the dict key is the int itself.  Equal states merge,
+    carrying how many y prefixes reach them; a state whose newest mask has
+    bit n accepts every continuation, an all-empty one none.  Each live
+    state costs its M masks per letter, each word's mask-steps are charged
+    ``copies`` times, and BudgetError is raised once these mask-steps
     (summed over letters and words) pass budget.
     """
     if n == 0:
         return [1] * len(words_bits)        # m_0 = 0 embeds it in any y
     L = M * n
+    width = n + 1
+    field = (1 << width) - 1
+    all_but_oldest = (1 << (width * (M - 1))) - 1
+    older_shifts = tuple(a * width for a in range(1, M))
+    cost = copies * M
     counts = []
     spent = 0
     for vbits in words_bits:
         # bit i + 1 of match[b] is set iff v_{i+1} == b
         match = ((~vbits & ((1 << n) - 1)) << 1, vbits << 1)
-        states = {(1,) + (0,) * (M - 1): 1}
+        states = {1: 1}
         hits = 0
         for t in range(L):
-            spent += len(states) * M
+            spent += len(states) * cost
             if spent > budget:
                 raise BudgetError("the automaton passed its budget of %d "
                                   "mask-steps" % budget)
-            nxt: dict[tuple[int, ...], int] = {}
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            accepted = 0
             for state, count in states.items():
-                reach = reduce(or_, state) << 1
-                older = state[:-1]
+                reach = state
+                for shift in older_shifts:
+                    reach |= state >> shift
+                reach = (reach & field) << 1
+                aged = (state & all_but_oldest) << width
                 for mb in match:
                     newest = reach & mb
                     if newest >> n:
-                        hits += count << (L - t - 1)
-                    elif newest or any(older):
-                        key = (newest,) + older
-                        nxt[key] = nxt.get(key, 0) + count
+                        accepted += count
+                    elif newest or aged:
+                        key = aged | newest
+                        nxt[key] = get(key, 0) + count
+            hits += accepted << (L - t - 1)
             states = nxt
         counts.append(hits)
     return counts
@@ -270,10 +282,17 @@ class ScanReport:
 def extremal_scan(n: int, M: int, budget: int = DEFAULT_BUDGET) -> ScanReport:
     """Rank all 2**n words of length n by exact M-embedding probability.
 
-    Runs the automaton once per word; ``budget`` caps the mask-steps summed
-    over all words.  Each word costs at least M*M*n of them (see
-    `embed_prob_exact`), so a scan whose 2**n * M*M*n floor is over the
-    budget is refused before any word is built.
+    Under uniform y a word and its complement ~v embed equally often, and
+    the automaton for ~v has the same live states letter by letter as the
+    one for v (swap the letters of y).  So the automaton runs only on the
+    2**(n-1) words with v_1 = 0 and each count is copied to the complement.
+
+    ``budget`` caps the mask-steps summed over all 2**n words: each run is
+    charged twice, once for its mirror, so a scan is refused for exactly
+    the budgets that one run per word would pass.  Each word costs at
+    least M*M*n of them (see `embed_prob_exact`), so a scan whose
+    2**n * M*M*n floor is over the budget is refused before any word is
+    built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -286,10 +305,15 @@ def extremal_scan(n: int, M: int, budget: int = DEFAULT_BUDGET) -> ScanReport:
         raise BudgetError("a scan of 2**%d words needs at least %d "
                           "mask-steps, over the budget of %d"
                           % (n, floor, budget))
-    words = [Word(bits, n) for bits in range(1 << n)]
-    counts = _automaton_counts([w.bits for w in words], n, M, budget)
+    full = (1 << n) - 1
+    # the words with v_1 = 0 (bit 0 clear); n = 0 has one, its own mirror
+    half = _automaton_counts(list(range(0, full + 1, 2)), n, M, budget,
+                             copies=2)
+    counts = [half[(bits ^ full if bits & 1 else bits) >> 1]
+              for bits in range(1 << n)]
     denom = 1 << (M * n)
-    table = tuple((w, Fraction(c, denom)) for w, c in zip(words, counts))
+    table = tuple((Word(bits, n), Fraction(c, denom))
+                  for bits, c in enumerate(counts))
     best = max(c for _, c in table)
     worst = min(c for _, c in table)
     return ScanReport(
@@ -327,12 +351,13 @@ def mean_embeddings(n: int, M: int) -> Fraction:
     return mean
 
 
-def second_moment_ratio(n: int, M: int) -> Fraction:
-    """E(N^2) / (M/2)**(2n) for N = number of M-embeddings, both words random.
+def _second_moment_ratios(n: int, M: int) -> tuple[Fraction | None, Fraction]:
+    """second_moment_ratio for n - 1 (None at n = 0) and for n, in one pass.
 
     A pair of position sequences (m1, m2) contributes 2**-(n + k), where k
     counts the i with m1_i != m2_i, so a DP over the offset d = m2_i - m1_i
-    sums all M**(2n) pairs in O(n**2 M**3) steps.
+    sums all M**(2n) pairs in O(n**2 M**3) steps; its total one letter
+    short of the end gives the ratio for n - 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -343,8 +368,10 @@ def second_moment_ratio(n: int, M: int) -> Fraction:
     # orbit of the increasing map f(m1_i) = m2_i, and those never return
     # (bar fixed points).  So n + k fair bits are fixed.  Weighting zero
     # offsets by 2, not nonzero ones by 1/2, makes the sum 4**n E(N^2).
-    ways = {0: 1}
+    ways: dict[int, int] = {0: 1}
+    before = None
     for _ in range(n):
+        before = ways
         nxt: dict[int, int] = {}
         for d, c in ways.items():
             for g1 in range(1, M + 1):
@@ -352,7 +379,17 @@ def second_moment_ratio(n: int, M: int) -> Fraction:
                     e = d + g2 - g1
                     nxt[e] = nxt.get(e, 0) + (2 * c if e == 0 else c)
         ways = nxt
-    return Fraction(sum(ways.values()), M ** (2 * n))
+    prev = None if before is None else \
+        Fraction(sum(before.values()), M ** (2 * n - 2))
+    return prev, Fraction(sum(ways.values()), M ** (2 * n))
+
+
+def second_moment_ratio(n: int, M: int) -> Fraction:
+    """E(N^2) / (M/2)**(2n) for N = number of M-embeddings, both words random.
+
+    Exact, by the offset DP of `_second_moment_ratios`.
+    """
+    return _second_moment_ratios(n, M)[1]
 
 
 @dataclass(frozen=True)
@@ -366,11 +403,8 @@ class MomentReport:
 
 def moment_report(n: int, M: int) -> MomentReport:
     """Mean, normalized second moment, and a one-step growth-rate estimate."""
-    ratio = second_moment_ratio(n, M)
-    growth = None
-    if n >= 1:
-        prev = second_moment_ratio(n - 1, M)
-        growth = float(ratio / prev)
+    prev, ratio = _second_moment_ratios(n, M)
+    growth = None if prev is None else float(ratio / prev)
     return MomentReport(
         n=n,
         M=M,

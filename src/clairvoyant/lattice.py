@@ -333,7 +333,7 @@ def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
                                                   letters[0], n):
         return Visibility.ABSENT
     adj = _adjacency(cells.shape, kind)
-    flat = cells.ravel().tolist()
+    flat = cells.astype(np.uint8, copy=False).tobytes()
     start = origin[0] * wd + origin[1]
     visited = bytearray(h * wd)
     visited[start] = 1

@@ -159,6 +159,19 @@ def test_moment_report_growth():
     assert moment_report(0, 2).growth_estimate is None
 
 
+def test_moment_report_is_one_pass_of_two_ratios():
+    for M in range(1, 5):
+        for n in range(0, 13):
+            rep = moment_report(n, M)
+            ratio = second_moment_ratio(n, M)
+            assert rep.second_moment_ratio == ratio
+            if n == 0:
+                assert rep.growth_estimate is None
+            else:
+                assert rep.growth_estimate == \
+                    float(ratio / second_moment_ratio(n - 1, M))
+
+
 def test_extremal_scan_small():
     rep = extremal_scan(4, 2)
     assert len(rep.table) == 16
@@ -202,6 +215,48 @@ def test_budget_refusals():
         embed_prob_exact(alternating_word(4), 2, budget=-1)
     with pytest.raises(ValueError):
         extremal_scan(3, 2, budget=-1)
+
+
+def test_mirrored_half_matches_single_words():
+    # the scan runs the automaton only on words with v_1 = 0; every row
+    # with v_1 = 1 is copied from its complement
+    for n in range(0, 8):
+        for M in (2, 3, 4):
+            for w, pr in extremal_scan(n, M).table:
+                if n == 0 or w.bits & 1:
+                    assert pr == embed_prob_exact(w, M), (n, M, w)
+    assert extremal_scan(0, 2).table == ((Word(0, 0), Fraction(1)),)
+    assert extremal_scan(1, 3).table == ((Word(0, 1), Fraction(7, 8)),
+                                         (Word(1, 1), Fraction(7, 8)))
+
+
+def _least_budget(run) -> int:
+    """The smallest budget at which run(budget) raises no BudgetError."""
+    lo, hi = -1, 1
+    while True:
+        try:
+            run(hi)
+            break
+        except BudgetError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except BudgetError:
+            lo = mid
+    return hi
+
+
+def test_scan_budget_is_the_sum_of_word_budgets():
+    # mirrored words are charged as if the automaton ran on them too
+    for n, M, steps in ((3, 2, 208), (5, 3, 14034), (6, 2, 7940)):
+        scan = _least_budget(lambda b: extremal_scan(n, M, budget=b))
+        words = sum(_least_budget(lambda b: embed_prob_exact(Word(bits, n), M,
+                                                             budget=b))
+                    for bits in range(1 << n))
+        assert scan == words == steps
 
 
 def test_mc_deterministic_and_calibrated():
