@@ -10,6 +10,7 @@ path with gaps at most 5R.  On the triangular lattice one can also ask
 which words are visible along self-avoiding walks from a fixed origin.
 """
 
+import sys
 from fractions import Fraction
 
 from clairvoyant import (
@@ -47,8 +48,8 @@ print("block path to depth %d: %s ..." %
 
 w = bernoulli_word(20, 0.5, RngSpec(4))
 witness = embed_word_2d(w, field, R, path)
-assert witness.gap_bound == 5 * R
-assert validate_embedding_2d(witness, w, field)
+if witness.gap_bound != 5 * R or not validate_embedding_2d(witness, w, field):
+    sys.exit("the block embedding gave an invalid witness")
 cells = list(zip(witness.rows, witness.cols))
 print("word %s read at cells %s ..." %
       (w, " ".join("(%d,%d)" % c for c in cells[:5])))

@@ -77,7 +77,8 @@ def _check_printable(bits: int) -> None:
     """Refuse, before computing it, an exact probability over 2**bits whose
     denominator could pass Python's limit on int-to-str digits."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = int(bits * math.log10(2)) + 1
+    # exact rational arithmetic: bits may be too large for a float
+    digits = int(bits * Fraction(math.log10(2))) + 1
     if limit and digits > limit:
         raise BudgetError(
             "the exact probability has a denominator of up to 2^%d (%d "
@@ -171,6 +172,9 @@ def _do_embed_mc(args):
             v = make_word(args.target, args.n)
         else:
             v = _word_arg(args.target)
+            if len(v) != args.n:
+                raise ValueError("--target %s has %d letters, not --n %d"
+                                 % (v, len(v), args.n))
         est = emb.embed_prob_mc(v, args.M, args.replicas, rng,
                                 p_y=args.p_y, workers=args.workers)
         target = str(v)
@@ -313,6 +317,9 @@ def _do_compat_mc(args):
 
 def _do_lattice_blocks(args):
     p = Fraction(args.p)
+    # the formula's denominator divides den(p)^(R^2)
+    _check_printable(math.ceil(args.R ** 2
+                               * Fraction(math.log2(p.denominator))))
     formula = lat.block_good_prob(p, args.R)
     est = lat.block_good_mc(float(p), args.R, args.replicas, _rng(args),
                             workers=args.workers)

@@ -21,11 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import PerReplica, run_chunked
+from .runner import PerBlock, run_chunked
 from .stats import Estimate
-from .words import Word, pack_mask
+from .words import Word, pack_mask, unpack_mask
 
 DEFAULT_BUDGET = 1 << 23
 
@@ -61,39 +63,41 @@ def _spread(frontier: int, M: int) -> int:
     return s
 
 
-def _frontiers(vbits: int, n: int, ybits: int, L: int,
-               M: int) -> list[int] | None:
-    """Forward sweep for the packed word v (n letters) into y (L letters).
+def _frontiers(r: int, masks, M: int):
+    """Yield the forward sweep's frontiers from r, one more per mask.
 
-    Frontier i has bit m set iff v_1..v_i M-embeds into y with v_i at
-    1-based position m; frontier 0 is the virtual start m_0 = 0.  Returns
-    all n + 1 frontiers, or None as soon as one is empty.
+    Each step spreads every set bit of the frontier forward by 1..M and
+    keeps those in the next letter's mask; a mask is read only when the
+    sweep reaches it, and the sweep stops after the first empty frontier.
+    For a word v into y, r = 1 is the virtual start m_0 = 0 and mask i has
+    bit m set iff y_m = v_i, so frontier i has bit m set iff v_1..v_i
+    M-embeds into y with v_i at 1-based position m.
     """
-    ones = ybits << 1
-    zeros = ~ones & ((1 << (L + 1)) - 2)
-    r = 1
-    frontiers = [r]
-    for i in range(n):
-        r = _spread(r, M) & (ones if (vbits >> i) & 1 else zeros)
-        if r == 0:
-            return None
-        frontiers.append(r)
-    return frontiers
+    yield r
+    for mask in masks:
+        r = _spread(r, M) & mask
+        yield r
+        if not r:
+            return
 
 
 def embed_decide(v: Word, y: Word, M: int) -> EmbeddingWitness | None:
     """A witness that v M-embeds into y, or None if there is none."""
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
-    if len(v) == 0:
+    n = len(v)
+    if n == 0:
         return EmbeddingWitness((), M)
-    frontiers = _frontiers(v.bits, len(v), y.bits, len(y), M)
-    if frontiers is None:
+    ones = y.bits << 1
+    zeros = ~ones & ((1 << (len(y) + 1)) - 2)
+    frontiers = list(_frontiers(1, (ones if (v.bits >> i) & 1 else zeros
+                                    for i in range(n)), M))
+    if not frontiers[-1]:
         return None
     # walk the frontiers backwards, taking the lowest admissible position
     m = (frontiers[-1] & -frontiers[-1]).bit_length() - 1
     positions = [m]
-    for i in range(len(v) - 1, 0, -1):
+    for i in range(n - 1, 0, -1):
         window = ((1 << M) - 1) << max(m - M, 0)
         cand = frontiers[i] & window & ((1 << m) - 1)
         m = (cand & -cand).bit_length() - 1
@@ -414,20 +418,38 @@ def moment_report(n: int, M: int) -> MomentReport:
     )
 
 
-def _fixed_word_replica(spec: RngSpec, vbits: int, n: int, M: int,
-                        p_y: float) -> bool:
-    L = M * n
-    ybits = pack_mask(spec.generator().random(L) < p_y)
-    return _frontiers(vbits, n, ybits, L, M) is not None
+def _embeds_block(rows: np.ndarray, n: int, M: int,
+                  vbits: int | None) -> np.ndarray:
+    """Does each row's word M-embed into its target?  One sweep for all.
 
-
-def _survival_replica(spec: RngSpec, n: int, M: int, p_x: float,
-                      p_y: float) -> bool:
+    Row b holds replica b's letters: its target y, L = M*n letters, last,
+    and before it the replica's own n-letter word, or nothing when every
+    replica embeds the word vbits.  Replica b owns bits b*W .. b*W + L of
+    one int, W = L + 1: bit b*W is its start m_0 = 0 and bit b*W + m its
+    position m.  No guard bits are needed: frontier i lies at positions
+    at most i*M <= L, so no spread leaves the replica's own field.
+    """
+    B = len(rows)
     L = M * n
-    draws = spec.generator().random(n + L)
-    vbits = pack_mask(draws[:n] < p_x)
-    ybits = pack_mask(draws[n:] < p_y)
-    return _frontiers(vbits, n, ybits, L, M) is not None
+    W = L + 1
+    y = rows[:, rows.shape[1] - L:]
+    field = np.zeros((B, W), dtype=bool)
+    field[:, 0] = True
+    start = pack_mask(field.ravel())
+    field[:, 0] = False
+
+    def mask(letters) -> int:
+        field[:, 1:L + 1] = y == letters
+        return pack_mask(field.ravel())
+
+    if vbits is None:
+        masks = (mask(rows[:, i:i + 1]) for i in range(n))
+    else:
+        by_letter = (mask(False), mask(True))
+        masks = (by_letter[(vbits >> i) & 1] for i in range(n))
+    for last in _frontiers(start, masks, M):
+        pass
+    return unpack_mask(last, B * W).reshape(B, W).any(axis=1)
 
 
 def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
@@ -437,8 +459,8 @@ def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
         raise ValueError("gap bound M must be >= 1")
     if not 0.0 <= p_y <= 1.0:
         raise ValueError("p_y must lie in [0, 1]")
-    fn = PerReplica(_fixed_word_replica, rng, vbits=v.bits, n=len(v), M=M,
-                    p_y=p_y)
+    fn = PerBlock(_embeds_block, rng, np.full(M * len(v), p_y), n=len(v),
+                  M=M, vbits=v.bits)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 
@@ -451,10 +473,13 @@ def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
     """
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     for p in (p_x, p_y):
         if not 0.0 <= p <= 1.0:
             raise ValueError("letter densities must lie in [0, 1]")
-    fn = PerReplica(_survival_replica, rng, n=n, M=M, p_x=p_x, p_y=p_y)
+    probs = np.concatenate([np.full(n, p_x), np.full(M * n, p_y)])
+    fn = PerBlock(_embeds_block, rng, probs, n=n, M=M, vbits=None)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PropertyViolation
 from .rng import RngSpec
-from .runner import PerReplica, run_chunked
+from .runner import PerBlock, PerReplica, run_chunked
 from .stats import Estimate
 from .words import Word, alternating_word, constant_word, pack_mask
 
@@ -415,9 +415,9 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
     )
 
 
-def _block_replica(spec: RngSpec, p: float, R: int) -> bool:
-    block = spec.generator().random((R, R)) < p
-    return bool(block.any() and (~block).any())
+def _good_blocks(rows: np.ndarray) -> np.ndarray:
+    """Does each R x R block of rows hold both letters?"""
+    return rows.any((1, 2)) & ~rows.all((1, 2))
 
 
 def block_good_mc(p: float, R: int, replicas: int, rng: RngSpec,
@@ -427,6 +427,6 @@ def block_good_mc(p: float, R: int, replicas: int, rng: RngSpec,
         raise ValueError("R must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    fn = PerReplica(_block_replica, rng, p=p, R=R)
+    fn = PerBlock(_good_blocks, rng, np.full((R, R), p))
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)

@@ -10,7 +10,9 @@ Philox is counter-based: its whole state is the key, a counter and a small
 output buffer.  Setting the key and zeroing the rest therefore gives the
 stream a freshly built ``Philox(key)`` gives, draw for draw, at a fifth of
 the cost.  :meth:`RngSpec.generator` uses this to reuse one generator per
-process; see its docstring for when it may.
+process; see its docstring for when it may.  :meth:`RngSpec.bernoulli_rows`
+rewinds a Philox of its own once per stream to draw a whole block of
+replicas into one matrix: row i holds what stream ``lo + i`` would draw.
 """
 
 from __future__ import annotations
@@ -26,6 +28,21 @@ _ZEROS = (0, 0, 0, 0)
 # The generator that RngSpec.generator returned last, reused while no one
 # else holds it.
 _last: np.random.Generator | None = None
+# Generators only RngSpec.bernoulli_rows uses; one is popped while a call
+# runs, so a call in another thread builds its own instead of sharing it.
+_spare_rows: list[np.random.Generator] = []
+
+
+def _rewind(bits: np.random.Philox, key: tuple[int, int]) -> None:
+    """Set a Philox to the start of the stream keyed by key."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -66,16 +83,35 @@ class RngSpec:
             # referrers: _last, gen and the argument; bits: gen's own
             # reference, bits and the argument
             if sys.getrefcount(gen) == 3 and sys.getrefcount(bits) == 3:
-                bits.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": _ZEROS, "key": key},
-                    "buffer": _ZEROS,
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+                _rewind(bits, key)
                 return gen
         gen = np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
         _last = gen
         return gen
+
+    def bernoulli_rows(self, lo: int, hi: int,
+                       probs: np.ndarray) -> np.ndarray:
+        """Bernoulli draws of streams lo <= k < hi, one bool row per stream.
+
+        Row i equals ``self.stream(lo + i).generator().random(probs.shape)
+        < probs``: each stream's uniforms go straight into one matrix of
+        shape ``(hi - lo,) + probs.shape`` from a Philox this method keeps
+        to itself and rewinds per stream.  It never touches the generator
+        `generator` keeps, nor one a caller holds.
+        """
+        if not 0 <= lo <= hi:
+            raise ValueError("need 0 <= lo <= hi")
+        probs = np.asarray(probs, dtype=float)
+        u = np.empty((hi - lo, probs.size))
+        try:
+            gen = _spare_rows.pop()
+        except IndexError:
+            gen = np.random.Generator(np.random.Philox())
+        bits = gen.bit_generator
+        seed = self.master_seed & _MASK64
+        for i in range(hi - lo):
+            _rewind(bits, (seed, lo + i))
+            gen.random(out=u[i])
+        _spare_rows.append(gen)
+        return u.reshape((hi - lo,) + probs.shape) < probs

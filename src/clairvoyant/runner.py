@@ -1,24 +1,35 @@
 """Replica scheduling for Monte Carlo runs.
 
 Every Monte Carlo estimate in the package is a loop over replicas, and this
-module owns that loop.  A model supplies a one-replica kernel
+module owns that loop.  A chunk function maps a replica range ``lo <= k <
+hi`` to an array with one row per replica, and ``run_chunked`` evaluates a
+chunk function over contiguous replica ranges, one per worker.  Row k
+always comes from stream k, ``rng.stream(k)``, so the concatenated result
+is a pure function of (master seed, replica count) and does not depend on
+the worker count.  A model builds its chunk function from one of two kinds
+of kernel:
 
-    kernel(spec: RngSpec, **params) -> row
+* ``PerReplica(kernel, rng, **params)`` runs a one-replica kernel
 
-that draws all of its randomness from ``spec`` and returns one row: a bool,
-an int, or a tuple of them.  ``PerReplica(kernel, rng, **params)`` is the
-chunk function that runs the kernel for replicas ``lo <= k < hi`` with
-``spec = rng.stream(k)`` and stacks the rows into one array, and
-``run_chunked`` evaluates a chunk function over contiguous replica ranges,
-one per worker.  Because replica k always draws from stream k, the
-concatenated result is a pure function of (master seed, replica count) and
-does not depend on the worker count.
+      kernel(spec: RngSpec, **params) -> row
 
-Kernels get their generators from ``spec.generator()``, which reuses one
-Philox per process (each worker process has its own) and rewinds it to
-stream k: the draws are those of a freshly built generator.  A kernel that
-drops its generator before asking for the next one pays for a rewind, not
-a build; one it still holds is never rewound.
+  once per replica with ``spec = rng.stream(k)``; the kernel draws all of
+  its randomness from ``spec`` and returns a bool, an int, or a tuple of
+  them.  Kernels get their generators from ``spec.generator()``, which
+  reuses one Philox per process (each worker process has its own) and
+  rewinds it to stream k: the draws are those of a freshly built
+  generator.  A kernel that drops its generator before asking for the
+  next one pays for a rewind, not a build; one it still holds is never
+  rewound.
+* ``PerBlock(kernel, rng, probs, **params)`` serves models whose replicas
+  need nothing but Bernoulli letters with per-letter densities ``probs``.
+  It hands a block kernel
+
+      kernel(rows: np.ndarray, **params) -> array
+
+  whole blocks of ``rng.bernoulli_rows`` draws, at most ``BLOCK_LETTERS``
+  letters a block; row i of a block is replica ``a + i``'s letters, drawn
+  from stream ``a + i``, and the kernel returns one result per row.
 """
 
 from __future__ import annotations
@@ -31,6 +42,9 @@ import numpy as np
 from .rng import RngSpec
 
 ChunkFn = Callable[[int, int], np.ndarray]
+
+# The most letters PerBlock draws into one block: 512 KiB of uniforms.
+BLOCK_LETTERS = 1 << 16
 
 
 class PerReplica:
@@ -49,6 +63,31 @@ class PerReplica:
     def __call__(self, lo: int, hi: int) -> np.ndarray:
         return np.array([self.func(self.rng.stream(k), **self.params)
                          for k in range(lo, hi)])
+
+
+class PerBlock:
+    """Chunk function of a block kernel over Bernoulli letters.
+
+    Replicas lo <= k < hi are drawn in blocks of at most ``BLOCK_LETTERS``
+    letters (one row, at least, per block) by ``rng.bernoulli_rows`` and
+    each block goes to ``func(rows, **params)``; row k of the result is
+    the kernel's result for stream k's letters, however the replicas are
+    chunked.  Like `PerReplica`, the kernel sits in ``func`` and instances
+    pickle whenever the kernel is a module-level function.
+    """
+
+    def __init__(self, func: Callable, rng: RngSpec, probs, **params):
+        self.func = func
+        self.rng = rng
+        self.probs = np.asarray(probs, dtype=float)
+        self.params = params
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        step = max(1, BLOCK_LETTERS // max(1, self.probs.size))
+        return np.concatenate([
+            self.func(self.rng.bernoulli_rows(a, min(a + step, hi),
+                                              self.probs), **self.params)
+            for a in range(lo, hi, step)])
 
 
 def chunk_bounds(replicas: int, workers: int) -> list[tuple[int, int]]:

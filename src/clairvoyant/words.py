@@ -91,6 +91,13 @@ def pack_mask(mask: np.ndarray) -> int:
                           "little")
 
 
+def unpack_mask(bits: int, size: int) -> np.ndarray:
+    """The inverse of `pack_mask`: bits 0 .. size-1 of bits as bools."""
+    raw = bits.to_bytes((size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size,
+                         bitorder="little").view(bool)
+
+
 @dataclass(frozen=True)
 class GapEncoding:
     """Run lengths of 0s around the 1s of a word.

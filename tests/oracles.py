@@ -50,6 +50,22 @@ def brute_embeddings(v_letters, y_letters, M):
     return found
 
 
+def embeds(v_letters, y_letters, M):
+    """Does v M-embed into y?  ends[m]: v_1..v_i can end at position m."""
+    match = np.asarray(y_letters, dtype=int)
+    ends = np.zeros(len(match) + 1, dtype=bool)
+    ends[0] = True
+    for a in v_letters:
+        nxt = np.zeros_like(ends)
+        for d in range(1, min(M, len(match)) + 1):
+            nxt[d:] |= ends[:len(ends) - d]
+        nxt[1:] &= match == a
+        if not nxt.any():
+            return False
+        ends = nxt
+    return True
+
+
 def brute_embed_prob(v_letters, M):
     n = len(v_letters)
     L = M * n
@@ -255,3 +271,22 @@ def brute_block_reachable(good, depth):
             return False
         level = nxt
     return True
+
+
+# One replica of each Monte Carlo model the package draws a block of
+# replicas at a time for, from that replica's own stream: what the package
+# computed per replica before it drew in blocks.
+
+def fixed_word_replica(spec, v_letters, M, p_y):
+    y = spec.generator().random(M * len(v_letters)) < p_y
+    return embeds(v_letters, y, M)
+
+
+def survival_replica(spec, n, M, p_x, p_y):
+    draws = spec.generator().random(n + M * n)
+    return embeds(draws[:n] < p_x, draws[n:] < p_y, M)
+
+
+def good_block_replica(spec, p, R):
+    block = spec.generator().random((R, R)) < p
+    return bool(block.any() and (~block).any())

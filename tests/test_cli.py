@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -97,6 +98,8 @@ def test_embed_mc_modes(tmp_path):
     assert rows[0]["target"] == "random"
     rows, _, _ = run_csv(tmp_path, args + ["--target", "110010"])
     assert rows[0]["target"] == "110010"
+    # a literal target fixes n: a mismatch is refused, not mislabelled
+    assert cli.main(args + ["--target", "0101"]) == 2
 
 
 def test_schedule_commands(tmp_path):
@@ -239,6 +242,9 @@ _FORCED = {
 @pytest.mark.parametrize("argv", [
     "embed mc --M 0 --n 5",
     "embed mc --M 0 --n 5 --target alternating",
+    "embed mc --M 2 --n 7 --target 0101",
+    "embed mc --M 2 --n -1",
+    "embed mc --M 2 --n -1 --target constant",
     "lattice abscan --p 2 --box 3 --replicas 5",
     "lattice abscan --p -1 --box 3 --replicas 5",
     "schedule coupling --M 2 --k 2 --depth -1 --replicas 5",
@@ -295,13 +301,36 @@ def test_exact_fraction_past_int_str_limit(tmp_path, capsys):
     assert int(rows[0]["probability_den"]) == 2**14000
 
 
+def test_block_formula_past_int_str_limit(tmp_path, capsys):
+    # the formula's denominator divides 2^(R^2): R = 120 gives 2^14400, 4335
+    # digits, refused before any Fraction power; so is R = 10^5, and sizes
+    # past the float range are refused too, not raised as OverflowError
+    huge = 10**200
+    blocks = "lattice blocks --replicas 1 --p 1/2 --R "
+    for argv, size in (
+            (blocks + "120", "2^14400 (4335 digits)"),
+            (blocks + "100000", "2^10000000000 (3010299957 digits)"),
+            (blocks + str(huge), "2^%d" % huge ** 2),
+            ("embed exact --v 01 --M %d" % huge ** 2,
+             "2^%d" % (2 * huge ** 2))):
+        code = cli.main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "refused" in err and size in err
+        assert "Traceback" not in err
+    # R = 119: 2^14161 has 4263 digits, printed in full
+    rows, _, _ = run_csv(tmp_path, ["lattice", "blocks", "--p", "1/2",
+                                    "--R", "119", "--replicas", "1"])
+    assert Fraction(rows[0]["formula"]) == 1 - Fraction(2, 2**14161)
+
+
 _literals = st.text("01", max_size=8)
 
 
 @st.composite
 def _embed_argv(draw):
     op = draw(st.sampled_from(("exact", "scan", "moments", "recursion",
-                               "roots", "decide", "count")))
+                               "roots", "decide", "count", "mc")))
     M = draw(st.integers(-2, 8))
     argv = ["embed", op, "--M", str(M)]
     if op in ("exact", "decide", "count"):
@@ -310,12 +339,25 @@ def _embed_argv(draw):
         argv += ["--v", v]
     if op in ("decide", "count"):
         argv += ["--y", draw(_literals)]
-    if op in ("scan", "moments", "recursion"):
+    if op in ("scan", "moments", "recursion", "mc"):
         n = draw(st.integers(-2, 8))
-        assume(n * M <= 16)
+        assume(n * M <= 16 or op == "mc")
         argv += ["--n", str(n)]
     if op in ("exact", "scan") and draw(st.booleans()):
         argv += ["--budget", str(draw(st.integers(-1, 10**4)))]
+    if op == "mc":
+        argv += ["--target", draw(st.one_of(
+            st.sampled_from(("random", "alternating", "constant", "zeros")),
+            _literals, st.text("01", min_size=max(n, 0),
+                               max_size=max(n, 0))))]
+        for name in ("--p-x", "--p-y"):
+            if draw(st.booleans()):
+                argv += [name, draw(st.sampled_from(
+                    ("0", "1", "0.5", "0.3", "-0.5", "1.5", "nan", "inf")))]
+        argv += ["--replicas", str(draw(st.integers(-1, 5))),
+                 "--workers", str(draw(_workers))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(-3, 3)))]
     return argv
 
 

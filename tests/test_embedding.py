@@ -20,18 +20,28 @@ from clairvoyant.embedding import (
 )
 from clairvoyant.errors import BudgetError
 from clairvoyant.rng import RngSpec
+from clairvoyant.runner import BLOCK_LETTERS
+from clairvoyant.stats import Estimate
 from clairvoyant.words import Word, alternating_word
 
 from oracles import (
     brute_embed_prob,
     brute_embeddings,
     brute_second_moment_ratio,
+    embeds,
     enum_embed_counts,
+    fixed_word_replica,
+    survival_replica,
 )
 
 small_words = st.lists(st.integers(0, 1), max_size=5)
 targets = st.lists(st.integers(0, 1), max_size=12)
 gap_bounds = st.integers(1, 4)
+
+
+@given(small_words, targets, gap_bounds)
+def test_embeds_oracle_matches_enumeration(v, y, M):
+    assert embeds(v, y, M) == bool(brute_embeddings(v, y, M))
 
 
 def test_decide_examples():
@@ -294,3 +304,48 @@ def test_survival_mc_matches_scan_average():
     avg = float(sum(pr for _, pr in rep.table) / len(rep.table))
     est = embed_survival_mc(M, n, 0.5, 0.5, 6000, rng)
     assert abs(est.mean - avg) <= 4 * est.stderr
+
+
+def _oracle(replica, replicas, rng, **params):
+    return Estimate.from_samples(
+        [replica(rng.stream(k), **params) for k in range(replicas)], rng)
+
+
+# Blocks hold BLOCK_LETTERS // (M*n) replicas for a fixed word and
+# BLOCK_LETTERS // (n + M*n) for a random one: the counts sit on both sides
+# of one and of two block boundaries.
+_N, _M = 60, 5
+_FIXED_ROWS = BLOCK_LETTERS // (_M * _N)
+_RANDOM_ROWS = BLOCK_LETTERS // (_N + _M * _N)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_block_mc_equals_per_replica_oracle(p):
+    rng = RngSpec(41)
+    v = Word.from_letters((i * i + i // 3) % 2 for i in range(_N))
+    for n, M, replicas in ((0, 2, 1), (0, 2, 9), (_N, _M, _FIXED_ROWS),
+                           (_N, _M, _FIXED_ROWS + 1),
+                           (_N, _M, 2 * _FIXED_ROWS + 1)):
+        w = Word(v.bits & ((1 << n) - 1), n)
+        want = _oracle(fixed_word_replica, replicas, rng,
+                       v_letters=w.letters(), M=M, p_y=p)
+        if p == 0.3 and n:
+            assert 0 < want.mean < 1            # both outcomes occur
+        for workers in (1, 2, 3):
+            assert embed_prob_mc(w, M, replicas, rng, p_y=p,
+                                 workers=workers) == want
+    for n, M, replicas in ((0, 2, 9), (_N, _M, _RANDOM_ROWS),
+                           (_N, _M, _RANDOM_ROWS + 1),
+                           (_N, _M, 2 * _RANDOM_ROWS + 1)):
+        want = _oracle(survival_replica, replicas, rng, n=n, M=M, p_x=p,
+                       p_y=p)
+        if p == 0.3 and n:
+            assert 0 < want.mean < 1
+        for workers in (1, 2, 3):
+            assert embed_survival_mc(M, n, p, p, replicas, rng,
+                                     workers=workers) == want
+
+
+def test_survival_mc_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        embed_survival_mc(2, -1, 0.5, 0.5, 10, RngSpec(0))

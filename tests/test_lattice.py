@@ -24,9 +24,16 @@ from clairvoyant.lattice import (
     visible_word,
 )
 from clairvoyant.rng import RngSpec
+from clairvoyant.runner import BLOCK_LETTERS
+from clairvoyant.stats import Estimate
 from clairvoyant.words import Word, alternating_word, constant_word
 
-from oracles import brute_block_reachable, brute_cluster, brute_visible_words
+from oracles import (
+    brute_block_reachable,
+    brute_cluster,
+    brute_visible_words,
+    good_block_replica,
+)
 
 
 def test_block_good_prob_values():
@@ -302,3 +309,20 @@ def test_block_good_mc_agrees_with_formula():
     est = block_good_mc(0.5, 2, 8000, rng)
     assert abs(est.mean - 7 / 8) <= 4 * est.stderr
     assert est == block_good_mc(0.5, 2, 8000, rng, workers=3)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_block_good_mc_equals_per_replica_oracle(p):
+    rng = RngSpec(36)
+    for R in (1, 3, 100):
+        rows = BLOCK_LETTERS // (R * R)       # replicas in one block
+        counts = (1, 7) if R == 1 else (rows, rows + 1, 2 * rows + 1)
+        for replicas in counts:
+            want = Estimate.from_samples(
+                [good_block_replica(rng.stream(k), p, R)
+                 for k in range(replicas)], rng)
+            if p == 0.3 and R == 3:
+                assert 0 < want.mean < 1        # both outcomes occur
+            for workers in (1, 2, 3):
+                assert block_good_mc(p, R, replicas, rng,
+                                     workers=workers) == want

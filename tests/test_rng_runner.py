@@ -9,7 +9,8 @@ import clairvoyant as cv
 from clairvoyant import rng as rng_module
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
-from clairvoyant.runner import chunk_bounds, run_chunked
+from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, chunk_bounds,
+                                run_chunked)
 from clairvoyant.stats import Estimate
 
 
@@ -117,6 +118,75 @@ def test_generator_reuse_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
+def test_bernoulli_rows_equal_per_stream_draws(seed):
+    probs = np.array([[0.0, 0.3], [0.7, 1.0], [0.5, 0.5]])
+    rows = RngSpec(seed).bernoulli_rows(3, 40, probs)
+    assert rows.shape == (37, 3, 2) and rows.dtype == bool
+    for i, row in enumerate(rows):
+        assert (row == (_fresh(seed, 3 + i).random((3, 2)) < probs)).all()
+    assert RngSpec(seed).bernoulli_rows(4, 4, probs).shape == (0, 3, 2)
+    assert RngSpec(seed).bernoulli_rows(0, 3, np.ones(0)).shape == (3, 0)
+    with pytest.raises(ValueError):
+        RngSpec(seed).bernoulli_rows(-1, 2, probs)
+
+
+def test_bernoulli_rows_rewind_no_other_generator():
+    held = RngSpec(5, 1).generator()
+    first = held.random(3)
+    RngSpec(5, 2).generator().random(2)       # dropped: the kept one
+    kept = rng_module._last
+    RngSpec(5).bernoulli_rows(0, 50, np.full(8, 0.5))
+    assert rng_module._last is kept
+    ref = _fresh(5, 2)
+    ref.random(2)
+    assert (kept.random(3) == ref.random(3)).all()    # not rewound either
+    ref = _fresh(5, 1)
+    assert (first == ref.random(3)).all()
+    assert (held.random(4) == ref.random(4)).all()
+
+
+def test_bernoulli_rows_across_threads():
+    # four threads draw blocks at a fine switch interval; a Philox shared
+    # by two calls at once would give one of them another stream's draws
+    probs = np.full(6, 0.5)
+    want = {k: _fresh(9, k).random(6) < probs for k in range(400)}
+    bad = []
+
+    def work(offset):
+        for lo in range(offset * 5, 400, 20):
+            rows = RngSpec(9).bernoulli_rows(lo, lo + 5, probs)
+            if any((row != want[lo + i]).any() for i, row in enumerate(rows)):
+                bad.append(lo)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def _row_sums(rows):
+    return rows.reshape(len(rows), -1).sum(axis=1)
+
+
+def test_per_block_row_k_is_stream_k():
+    rng = RngSpec(8)
+    probs = np.linspace(0.0, 1.0, 5000)
+    assert BLOCK_LETTERS // probs.size < 40      # several blocks a chunk
+    want = [(_fresh(8, k).random(5000) < probs).sum() for k in range(40)]
+    for workers in (1, 2, 3):
+        got = run_chunked(PerBlock(_row_sums, rng, probs), 40, workers)
+        assert got.tolist() == want
 
 
 def test_estimate_from_samples():
