@@ -281,12 +281,6 @@ def _do_compat_decide(args):
     return ["compatible", "kept_x", "kept_y"], [row]
 
 
-def _do_compat_oracle(args):
-    ok = compat.compat_oracle(_word_arg(args.x), _word_arg(args.y),
-                              budget=args.budget)
-    return ["compatible"], [{"compatible": str(ok).lower()}]
-
-
 def _do_compat_cert(args):
     cert = compat.majority_certificate(_word_arg(args.x), _word_arg(args.y))
     row = {
@@ -408,6 +402,8 @@ def _read_pmf_csv(path: str) -> env.JointPmf:
             except (KeyError, TypeError):    # missing column or short row
                 raise ValueError("pmf rows need outcome, numerator and "
                                  "denominator") from None
+            if o in probs:
+                raise ValueError("pmf lists outcome %s twice" % rec["outcome"])
             width = len(o) if width is None else width
             probs[o] = pr
     if width is None:
@@ -514,10 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(g, "decide", _do_compat_decide)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p = leaf(g, "oracle", _do_compat_oracle)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--budget", type=int, default=24)
     p = leaf(g, "cert", _do_compat_cert)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

@@ -6,19 +6,21 @@ same position while both still have letters.  Positions past the shorter
 output are unconstrained, which makes the horizon-n answer an upper bound
 for longer horizons and monotone under extending either word.
 
-The decision procedure is a DP over consumed-prefix pairs (i, j) with three
-moves: skip a 0 of x, skip a 0 of y, or emit one letter from each provided
-they are not both 1.  A reachable state with either word exhausted accepts.
+State (i, j) has consumed i letters of x and j of y; the moves skip a 0 of
+x, skip a 0 of y, or emit one letter from each provided they are not both
+1, and a reachable state with either word exhausted accepts.  One row
+sweep, `_rows`, yields the reachable j's of each i as one int; the
+decision, the largest compatible horizon behind `psi_mc` and the deletion
+witness (walked back through the kept rows) are all loops over it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, PropertyViolation
+from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
@@ -47,128 +49,81 @@ def validate_deletion(witness: DeletionWitness, x: Word, y: Word) -> bool:
     return all(a * b == 0 for a, b in zip(vx, vy))
 
 
-def _closure(r: int, zy: int) -> int:
-    # saturate skip-y moves: from consumed-count j, skipping needs y_{j+1}=0.
-    # Adding r & zy to zy carries each run of zy's 1s from its lowest bit in
-    # r up to one past the run, clearing the run on the way; xor-ing zy back
-    # flips those bits on (bits of r inside the run aside, which r keeps).
-    return r | (((r & zy) + zy) ^ zy)
+def _rows(xbits: int, nx: int, ybits: int, ny: int):
+    """Yield the closed reachable rows r_0, r_1, ... of the (nx, ny) sweep.
 
-
-def _compatible_bits(xbits: int, nx: int, ybits: int, ny: int) -> bool:
+    Bit j of r_i is set iff state (i, j) is reachable from (0, 0); the sweep
+    stops after the first empty row.  A row steps to the next by skip-x
+    (x_{i+1} = 0 keeps every j) or emit (j to j + 1 unless x_{i+1} and
+    y_{j+1} are both 1), then closes under skip-y: adding r & zy to zy
+    carries each run of zy's 1s from its lowest bit in r up to one past the
+    run, clearing the run on the way, and xor-ing zy back flips those bits
+    on (bits of r inside the run aside, which r keeps).
+    """
     zy = ~ybits & ((1 << ny) - 1)
     full = (1 << (ny + 1)) - 1
-    r = _closure(1, zy)
-    if (r >> ny) & 1:
-        return True
+    r = 1 | (((1 & zy) + zy) ^ zy)
+    yield r
     for i in range(nx):
-        xi = (xbits >> i) & 1
-        nr = 0 if xi else r
-        src = (r & zy) if xi else r
-        nr |= (src << 1) & full
-        nr = _closure(nr, zy)
-        if nr == 0:
-            return False
-        r = nr
-        if (r >> ny) & 1:
-            return True
-    return True
+        if (xbits >> i) & 1:
+            r = (r & zy) << 1
+        else:
+            r |= (r << 1) & full
+        r |= ((r & zy) + zy) ^ zy
+        yield r
+        if not r:
+            return
 
 
 def compatible(x: Word, y: Word) -> bool:
     """Fast decision without a witness (bitset row sweep)."""
     if len(x) == 0 or len(y) == 0:
         raise ValueError("both words must be nonempty")
-    return _compatible_bits(x.bits, len(x), y.bits, len(y))
+    for r in _rows(x.bits, len(x), y.bits, len(y)):
+        if (r >> len(y)) & 1:
+            return True
+    return r != 0
 
 
 def compatible_prefix(x: Word, y: Word) -> DeletionWitness | None:
     """A deletion witness for compatibility, or None.
 
-    BFS over consumed-prefix states, reconstructing kept indices from the
-    move sequence; letters of the unfinished word are kept wholesale.
+    Keeps the rows up to the first accepting state, (i, ny) in the first
+    row that has one or else the lowest state of row nx, and walks back to
+    (0, 0), preferring an emit from r_{i-1}, then a skip of x_i from
+    r_{i-1}, then a skip of y_j within r_i.  Letters of the unfinished word
+    are kept wholesale: the kept lists start from them, in reverse.
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("both words must be nonempty")
     nx, ny = len(x), len(y)
-    start = (0, 0)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {start: (start, "")}
-    queue = deque([start])
-    accept = None
-    while queue:
-        i, j = queue.popleft()
-        if i == nx or j == ny:
-            accept = (i, j)
+    rows = []
+    for r in _rows(x.bits, nx, y.bits, ny):
+        rows.append(r)
+        if (r >> ny) & 1:
             break
-        moves = []
-        if x[i] == 0:
-            moves.append(((i + 1, j), "sx"))
-        if y[j] == 0:
-            moves.append(((i, j + 1), "sy"))
-        if not (x[i] == 1 and y[j] == 1):
-            moves.append(((i + 1, j + 1), "em"))
-        for state, tag in moves:
-            if state not in parent:
-                parent[state] = ((i, j), tag)
-                queue.append(state)
-    if accept is None:
+    if not r:
         return None
-    kept_x: list[int] = []
-    kept_y: list[int] = []
-    state = accept
-    while state != start:
-        prev, tag = parent[state]
-        if tag == "em":
-            kept_x.append(state[0])
-            kept_y.append(state[1])
-        state = prev
-    kept_x.reverse()
-    kept_y.reverse()
-    ai, aj = accept
-    if ai == nx:
-        kept_y.extend(range(aj + 1, ny + 1))
-    else:
-        kept_x.extend(range(ai + 1, nx + 1))
-    witness = DeletionWitness(tuple(kept_x), tuple(kept_y))
+    i = len(rows) - 1
+    j = ny if (r >> ny) & 1 else (r & -r).bit_length() - 1
+    kept_x, kept_y = list(range(nx, i, -1)), list(range(ny, j, -1))
+    # The rows alone pick each move: no move enters (i, j) with x_i = y_j = 1,
+    # and when x_i = 1 the skips of y's 0s into (i, j) start at an emit, so
+    # (i - 1, j - 1) is in r_{i-1} and a skip of x_i is tried only if x_i = 0.
+    while i or j:
+        if i and j and (rows[i - 1] >> (j - 1)) & 1:
+            kept_x.append(i)
+            kept_y.append(j)
+            i -= 1
+            j -= 1
+        elif i and (rows[i - 1] >> j) & 1:
+            i -= 1
+        else:
+            j -= 1
+    witness = DeletionWitness(tuple(kept_x[::-1]), tuple(kept_y[::-1]))
     if not validate_deletion(witness, x, y):
         raise PropertyViolation("compatible_prefix produced an invalid witness")
     return witness
-
-
-def compat_oracle(x: Word, y: Word, budget: int = 24) -> bool:
-    """Ground-truth decision by enumerating all deletion subsets of 0s."""
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("both words must be nonempty")
-    if len(x) + len(y) > budget:
-        raise BudgetError(
-            "oracle on |x|+|y| = %d letters, over the budget of %d"
-            % (len(x) + len(y), budget)
-        )
-    xs = _all_deletions(x)
-    ys = _all_deletions(y)
-    for vb, vn in xs:
-        for wb, wn in ys:
-            m = min(vn, wn)
-            if vb & wb & ((1 << m) - 1) == 0:
-                return True
-    return False
-
-
-def _all_deletions(w: Word) -> list[tuple[int, int]]:
-    """All words reachable by deleting 0s, as (bits, length) pairs."""
-    zero_pos = [i for i in range(len(w)) if w[i] == 0]
-    out = []
-    for mask in range(1 << len(zero_pos)):
-        drop = {zero_pos[t] for t in range(len(zero_pos)) if (mask >> t) & 1}
-        bits = 0
-        n = 0
-        for i in range(len(w)):
-            if i in drop:
-                continue
-            bits |= w[i] << n
-            n += 1
-        out.append((bits, n))
-    return out
 
 
 @dataclass(frozen=True)
@@ -199,29 +154,23 @@ def majority_certificate(x: Word, y: Word) -> MajorityCertificate | None:
 def _horizon_bits(xbits: int, ybits: int, N: int) -> int:
     """Largest n <= N at which the length-n prefixes are compatible.
 
-    The row sweep of `_compatible_bits` on the length-N words, tracking the
-    largest max(i, j) over reachable states (i, j) instead of stopping at
-    the first exhausted word.  A state with max(i, j) = m uses only the
-    first m letters of each word, so it accepts at horizon m; and each move
-    raises max(i, j) by at most 1, so a path to it passes through an
-    accepting state of every smaller horizon.  So the prefixes are
-    compatible at horizon n exactly when n <= the returned value.
+    The sweep `_rows` on the length-N words, tracking the largest max(i, j)
+    over reachable states (i, j) instead of stopping at the first exhausted
+    word.  A state with max(i, j) = m uses only the first m letters of each
+    word, so it accepts at horizon m; and each move raises max(i, j) by at
+    most 1, so a path to it passes through an accepting state of every
+    smaller horizon.  So the prefixes are compatible at horizon n exactly
+    when n <= the returned value.
     """
-    zy = ~ybits & ((1 << N) - 1)
-    full = (1 << (N + 1)) - 1
-    r = _closure(1, zy)
-    top = r.bit_length() - 1
-    for i in range(N):
-        if top >= N:
+    top = 0
+    for i, r in enumerate(_rows(xbits, N, ybits, N)):
+        if not r or top >= N:
             break
-        if (xbits >> i) & 1:
-            r = ((r & zy) << 1) & full
-        else:
-            r |= (r << 1) & full
-        if r == 0:
-            break
-        r = _closure(r, zy)
-        top = max(top, i + 1, r.bit_length() - 1)
+        if i > top:
+            top = i
+        j = r.bit_length() - 1
+        if j > top:
+            top = j
     return top
 
 

@@ -184,6 +184,14 @@ def brute_compatible(x_letters, y_letters):
     return rec(0, 0)
 
 
+def deletion_compatible(x_letters, y_letters):
+    """Some 0-deletions of x and of y put no 1 in both at one position of
+    their overlap, by trying every pair of deletions."""
+    ys = all_zero_deletions(tuple(y_letters))
+    return any(all(a * b == 0 for a, b in zip(v, w))
+               for v in all_zero_deletions(tuple(x_letters)) for w in ys)
+
+
 def brute_visible_words(cells, offsets, origin, max_len):
     """All words of length <= max_len readable along self-avoiding walks."""
     h, w = cells.shape

@@ -1,12 +1,15 @@
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,6 +37,21 @@ def test_startup_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_cli_block_lists_every_leaf():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {group: set(leaves.split(",")) for group, leaves in
+                  re.findall(r"^clairvoyant (\w+) +\{([\w,]+)\}$", readme,
+                             re.M)}
+
+    def subcommands(parser):
+        action, = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    assert documented == {group: set(subcommands(sub)) for group, sub in
+                          subcommands(cli.build_parser()).items()}
 
 
 def test_recursion_output(tmp_path):
@@ -142,9 +160,9 @@ def test_compat_commands(tmp_path):
     rows, _, _ = run_csv(tmp_path, ["compat", "decide", "--x", "0110",
                                     "--y", "1001"])
     assert rows[0]["compatible"] == "true"
-    rows, _, _ = run_csv(tmp_path, ["compat", "oracle", "--x", "111",
+    rows, _, _ = run_csv(tmp_path, ["compat", "decide", "--x", "111",
                                     "--y", "111"])
-    assert rows[0]["compatible"] == "false"
+    assert rows[0] == {"compatible": "false", "kept_x": "[]", "kept_y": "[]"}
     rows, _, _ = run_csv(tmp_path, ["compat", "cert", "--x", "111",
                                     "--y", "111"])
     assert rows[0] == {"found": "true", "N": "1"}
@@ -260,6 +278,10 @@ _FORCED = {
     "lattice visible --field {missing} --origin 0,0 --word 1",
     "env kwise --pmf {missing} --k 2",
     "env kwise --pmf {no_outcome} --k 2",
+    # 00 listed twice: the rows sum to 5/4
+    "env kwise --pmf {dup_outcome} --k 2",
+    # the leaf is gone: compat decide answers it with a checked witness
+    "compat oracle --x 1 --y 1",
     # flags a subcommand would ignore are refused
     "embed decide --v 01 --y 01 --M 1 --seed 3",
     "schedule survive --M 2 --depth 1 --replicas 5",
@@ -272,13 +294,16 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, *_FORCED[argv])
     no_outcome = tmp_path / "no_outcome.csv"
     no_outcome.write_text("numerator,denominator\n1,2\n")
+    dup_outcome = tmp_path / "dup_outcome.csv"
+    dup_outcome.write_text("outcome,numerator,denominator\n00,1,4\n01,1,4\n"
+                           "10,1,4\n11,1,4\n00,1,4\n")
     field = tmp_path / "field.txt"
     field.write_text("010\n101\n010\n")
     argv = argv.format(missing=tmp_path / "missing", no_outcome=no_outcome,
-                       field=field).split()
+                       dup_outcome=dup_outcome, field=field).split()
     try:
         code = cli.main(argv)
-    except SystemExit as exc:          # argparse exits on unknown flags
+    except SystemExit as exc:      # argparse exits on unknown flags and leaves
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
@@ -418,8 +443,8 @@ def _other_argv(draw):
     group, op = draw(st.sampled_from((
         ("schedule", "survive"), ("schedule", "curve"),
         ("schedule", "coupling"), ("schedule", "undirected"),
-        ("schedule", "kwise"), ("compat", "decide"), ("compat", "oracle"),
-        ("compat", "cert"), ("compat", "mc"), ("lattice", "blocks"),
+        ("schedule", "kwise"), ("compat", "decide"), ("compat", "cert"),
+        ("compat", "mc"), ("lattice", "blocks"),
         ("lattice", "embed2d"), ("lattice", "visible"), ("lattice", "abscan"),
         ("env", "column"), ("env", "kwise"))))
     argv = [group, op]
@@ -463,8 +488,6 @@ def _other_argv(draw):
         else:
             flag("x", draw(_literals))
             flag("y", draw(_literals))
-            if op == "oracle":
-                maybe("budget", st.integers(-1, 16))
     elif group == "lattice":
         if op == "blocks":                    # --p is required there
             flag("p", draw(_density))

@@ -1,11 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clairvoyant.compatibility import (
     DeletionWitness,
-    _compatible_bits,
     _horizon_bits,
-    compat_oracle,
     compatible,
     compatible_prefix,
     majority_certificate,
@@ -13,11 +13,10 @@ from clairvoyant.compatibility import (
     psi_mc,
     validate_deletion,
 )
-from clairvoyant.errors import BudgetError
 from clairvoyant.rng import RngSpec
 from clairvoyant.words import Word, pack_mask
 
-from oracles import brute_compatible
+from oracles import brute_compatible, deletion_compatible
 
 word_letters = st.lists(st.integers(0, 1), min_size=1, max_size=8)
 
@@ -52,8 +51,6 @@ def test_empty_words_rejected():
         compatible(W(""), W("0"))
     with pytest.raises(ValueError):
         compatible_prefix(W("0"), W(""))
-    with pytest.raises(ValueError):
-        compat_oracle(W(""), W(""))
 
 
 @given(word_letters, word_letters)
@@ -66,7 +63,7 @@ def test_dp_matches_recursive_oracle(xl, yl):
        st.lists(st.integers(0, 1), min_size=1, max_size=6))
 def test_dp_matches_deletion_enumeration(xl, yl):
     x, y = Word.from_letters(xl), Word.from_letters(yl)
-    assert compatible(x, y) == compat_oracle(x, y)
+    assert compatible(x, y) == deletion_compatible(xl, yl)
 
 
 @given(word_letters, word_letters)
@@ -76,6 +73,50 @@ def test_witness_agrees_with_decision(xl, yl):
     assert (wit is not None) == compatible(x, y)
     if wit is not None:
         assert validate_deletion(wit, x, y)
+
+
+def test_one_sweep_on_every_pair_up_to_length_7():
+    # decision, witness and horizon against the recursion on all 64516
+    # pairs; the horizon reads its prefixes' answers from the same table
+    table = {}
+    for nx in range(1, 8):
+        for ny in range(1, 8):
+            for xb in range(1 << nx):
+                x = Word(xb, nx)
+                xl = list(x)
+                for yb in range(1 << ny):
+                    y = Word(yb, ny)
+                    ok = table[xb, nx, yb, ny] = brute_compatible(xl, list(y))
+                    assert compatible(x, y) == ok, (x, y)
+                    wit = compatible_prefix(x, y)
+                    assert (wit is not None) == ok, (x, y)
+                    if wit is not None:
+                        assert validate_deletion(wit, x, y), (x, y, wit)
+    for N in range(1, 8):
+        for xb in range(1 << N):
+            for yb in range(1 << N):
+                best = max([n for n in range(1, N + 1) if table[
+                    xb & ((1 << n) - 1), n, yb & ((1 << n) - 1), n]],
+                    default=0)
+                assert _horizon_bits(xb, yb, N) == best, (xb, yb, N)
+
+
+def test_witness_in_linear_memory():
+    # a search keyed on every (i, j) state peaked near 118 MB on this pair
+    g = RngSpec(63).generator()
+    x = Word.from_letters((g.random(2000) < 0.3).astype(int))
+    y = Word.from_letters((g.random(2000) < 0.3).astype(int))
+    tracemalloc.start()
+    try:
+        wit = compatible_prefix(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert wit is not None and validate_deletion(wit, x, y)
+    # both words all 0s: every state is reachable
+    zeros = W("0" * 3000)
+    assert validate_deletion(compatible_prefix(zeros, zeros), zeros, zeros)
 
 
 @given(word_letters, word_letters, st.data())
@@ -108,11 +149,6 @@ def test_validate_deletion_rejections():
     # overlapping 1s
     assert not validate_deletion(
         DeletionWitness((2, 3), (1, 4)), W("0110"), W("1001"))
-
-
-def test_oracle_budget():
-    with pytest.raises(BudgetError):
-        compat_oracle(W("0" * 13), W("0" * 12))
 
 
 def test_majority_certificate_examples():
@@ -166,7 +202,8 @@ def test_horizon_matches_every_prefix_of_random_pairs():
         T = _horizon_bits(xbits, ybits, N)
         for n in range(1, N + 1):
             m = (1 << n) - 1
-            assert (T >= n) == _compatible_bits(xbits & m, n, ybits & m, n), \
+            assert (T >= n) == compatible(Word(xbits & m, n),
+                                          Word(ybits & m, n)), \
                 (xbits, ybits, N, n, T)
 
 
