@@ -19,7 +19,7 @@ from clairvoyant import (
 )
 
 # one concrete grid, with an explicit scheduling witness when it survives
-grid = sample_grid(M=4, depth=12, rng=RngSpec(7))
+grid = sample_grid(M=4, depth=12, g=RngSpec(7).generator())
 print("x walk:", grid.x)
 print("y walk:", grid.y)
 witness = directed_survival(grid, 12)

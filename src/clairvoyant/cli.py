@@ -192,7 +192,7 @@ def _grid_from_args(args):
         x = IntSequence(tuple(_parse_ints(args.x)), args.M)
         y = IntSequence(tuple(_parse_ints(args.y)), args.M)
         return sched.ScheduleGrid(x, y)
-    return sched.sample_grid(args.M, args.depth, _rng(args))
+    return sched.sample_grid(args.M, args.depth, _rng(args).generator())
 
 
 def _do_schedule_survive(args):

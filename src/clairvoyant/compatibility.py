@@ -174,11 +174,10 @@ def _horizon_bits(xbits: int, ybits: int, N: int) -> int:
     return top
 
 
-def _horizon_replica(spec: RngSpec, p: float, N: int) -> int:
-    k = spec.stream_id
-    xbits = pack_mask(spec.stream(2 * k).generator().random(N) < p)
-    ybits = pack_mask(spec.stream(2 * k + 1).generator().random(N) < p)
-    return _horizon_bits(xbits, ybits, N)
+def _horizon_replica(gx: np.random.Generator, gy: np.random.Generator,
+                     p: float, N: int) -> int:
+    return _horizon_bits(pack_mask(gx.random(N) < p),
+                         pack_mask(gy.random(N) < p), N)
 
 
 def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
@@ -199,7 +198,7 @@ def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
         raise ValueError("give at least one horizon n")
     if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    fn = PerReplica(_horizon_replica, rng, p=p, N=max(ns))
+    fn = PerReplica(_horizon_replica, rng, streams=2, p=p, N=max(ns))
     horizons = run_chunked(fn, replicas, workers)
     return [Estimate.from_samples(horizons >= n, rng) for n in ns]
 

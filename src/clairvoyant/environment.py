@@ -39,6 +39,8 @@ class JointPmf:
         for o in self.probs:
             if len(o) != k or any(b not in (0, 1) for b in o):
                 raise ValueError("outcomes must be {0,1} vectors of width %d" % k)
+        if any(pr < 0 for pr in self.probs.values()):
+            raise ValueError("probabilities must be >= 0")
         if sum(self.probs.values(), Fraction(0)) != 1:
             raise ValueError("probabilities must sum to 1")
 
@@ -160,10 +162,9 @@ class ColumnEnvironment:
 
 
 def sample_environment(mu: FiniteDistribution, n: int,
-                       rng: RngSpec) -> ColumnEnvironment:
+                       g: np.random.Generator) -> ColumnEnvironment:
     if n < 1:
         raise ValueError("box size must be >= 1")
-    g = rng.generator()
     cum = np.cumsum([float(w) for w in mu.weights])
     idx = np.searchsorted(cum, g.random(n), side="right")
     idx = np.minimum(idx, len(mu.points) - 1)
@@ -180,8 +181,9 @@ def crosses_horizontally(config: np.ndarray) -> bool:
                flood(bits, stride, LatticeKind.SQUARE, (1 << stride) - 1))
 
 
-def _column_replica(spec: RngSpec, mu: FiniteDistribution, n: int) -> bool:
-    return crosses_horizontally(sample_environment(mu, n, spec).config)
+def _column_replica(g: np.random.Generator, mu: FiniteDistribution,
+                    n: int) -> bool:
+    return crosses_horizontally(sample_environment(mu, n, g).config)
 
 
 def column_percolation_mc(mu: FiniteDistribution, n: int, replicas: int,

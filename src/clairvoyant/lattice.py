@@ -377,10 +377,10 @@ class AbScanReport:
 _AB_CODE = {Visibility.ABSENT: 0, Visibility.FOUND: 1, Visibility.EXHAUSTED: 2}
 
 
-def _ab_replica(spec: RngSpec, p: float, box: int, budget: int,
+def _ab_replica(g: np.random.Generator, p: float, box: int, budget: int,
                 words: tuple[Word, ...]) -> tuple[int, ...]:
     side = 2 * box + 1
-    cells = (spec.generator().random((side, side)) < p).astype(np.uint8)
+    cells = (g.random((side, side)) < p).astype(np.uint8)
     return tuple(
         _AB_CODE[visible_word(cells, LatticeKind.TRIANGULAR, (box, box), w,
                               budget)]

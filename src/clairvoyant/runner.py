@@ -4,23 +4,22 @@ Every Monte Carlo estimate in the package is a loop over replicas, and this
 module owns that loop.  A chunk function maps a replica range ``lo <= k <
 hi`` to an array with one row per replica, and ``run_chunked`` evaluates a
 chunk function over contiguous replica ranges, one per worker.  Row k
-always comes from stream k, ``rng.stream(k)``, so the concatenated result
-is a pure function of (master seed, replica count) and does not depend on
-the worker count.  A model builds its chunk function from one of two kinds
-of kernel:
+always comes from replica k's own streams under the entry point's
+`RngSpec`, so the concatenated result is a pure function of (master seed,
+replica count) and does not depend on the worker count.  Entry points take
+the `RngSpec`; kernels take the generators they draw from.  A model builds
+its chunk function from one of two kinds of kernel:
 
-* ``PerReplica(kernel, rng, **params)`` runs a one-replica kernel
+* ``PerReplica(kernel, rng, streams=1, **params)`` runs a one-replica
+  kernel
 
-      kernel(spec: RngSpec, **params) -> row
+      kernel(*gens: np.random.Generator, **params) -> row
 
-  once per replica with ``spec = rng.stream(k)``; the kernel draws all of
-  its randomness from ``spec`` and returns a bool, an int, or a tuple of
-  them.  Kernels get their generators from ``spec.generator()``, which
-  reuses one Philox per process (each worker process has its own) and
-  rewinds it to stream k: the draws are those of a freshly built
-  generator.  A kernel that drops its generator before asking for the
-  next one pays for a rewind, not a build; one it still holds is never
-  rewound.
+  once per replica, where ``gens`` holds generators at the start of
+  streams ``streams * k + i``, i < streams, from ``rng.generators``; the
+  kernel draws all of its randomness from them and returns a bool, an
+  int, or a tuple of them.  The runner rewinds the same generators for
+  every replica, so a kernel must not keep them past its return.
 * ``PerBlock(kernel, rng, probs, **params)`` serves models whose replicas
   need nothing but Bernoulli letters with per-letter densities ``probs``.
   It hands a block kernel
@@ -48,21 +47,25 @@ BLOCK_LETTERS = 1 << 16
 
 
 class PerReplica:
-    """Chunk function of a one-replica kernel: row k is func(rng.stream(k)).
+    """Chunk function of a one-replica kernel: row k is func(*gens_k).
 
-    The kernel sits in ``func``, the attribute name `functools.partial`
-    uses, so tools that look through partials see the kernel's module.
-    Instances pickle whenever the kernel is a module-level function.
+    ``gens_k`` are the generators `RngSpec.generators` yields for replica
+    k, at streams ``streams * k + i``.  The kernel sits in ``func``, the
+    attribute name `functools.partial` uses, so tools that look through
+    partials see the kernel's module.  Instances pickle whenever the
+    kernel is a module-level function.
     """
 
-    def __init__(self, func: Callable, rng: RngSpec, **params):
+    def __init__(self, func: Callable, rng: RngSpec, streams: int = 1,
+                 **params):
         self.func = func
         self.rng = rng
+        self.streams = streams
         self.params = params
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.func(self.rng.stream(k), **self.params)
-                         for k in range(lo, hi)])
+        return np.array([self.func(*gens, **self.params) for gens in
+                         self.rng.generators(lo, hi, self.streams)])
 
 
 class PerBlock:

@@ -31,7 +31,7 @@ from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
-from .words import IntSequence, pack_mask
+from .words import IntSequence, pack_mask, sample_uniform_sequence
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,12 @@ class ScheduleGrid:
         return self.x[i] != self.y[j]
 
 
-def sample_grid(M: int, depth: int, rng: RngSpec) -> ScheduleGrid:
-    """Grid of two fresh uniform walks, each with depth+1 values."""
-    if M < 2:
-        raise ValueError("alphabet size M must be >= 2")
+def sample_grid(M: int, depth: int, g: np.random.Generator) -> ScheduleGrid:
+    """Grid of two uniform walks from g, x first, each with depth+1 values."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    g = rng.generator()
-    xv = tuple(g.integers(1, M + 1, size=depth + 1).tolist())
-    yv = tuple(g.integers(1, M + 1, size=depth + 1).tolist())
-    return ScheduleGrid(IntSequence(xv, M), IntSequence(yv, M))
+    return ScheduleGrid(sample_uniform_sequence(M, depth + 1, g),
+                        sample_uniform_sequence(M, depth + 1, g))
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ def directed_survival(grid: ScheduleGrid, depth: int) -> PathWitness | None:
     return witness
 
 
-def _curve_replica(spec: RngSpec, M: int, max_depth: int) -> int:
-    return survival_depth(sample_grid(M, max_depth, spec))
+def _curve_replica(g: np.random.Generator, M: int, max_depth: int) -> int:
+    return survival_depth(sample_grid(M, max_depth, g))
 
 
 def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
@@ -183,21 +179,17 @@ class CouplingReport:
     big_survivals: int
 
 
-def _coupling_replica(spec: RngSpec, M: int, k: int,
+def _coupling_replica(g: np.random.Generator, M: int, k: int,
                       depth: int) -> tuple[bool, bool, bool]:
     """(superset broken, reduced grid survives, big grid survives)."""
-    big_m = k * M
-    g = spec.generator()
-    xb = g.integers(1, big_m + 1, size=depth + 1)
-    yb = g.integers(1, big_m + 1, size=depth + 1)
+    big = sample_grid(k * M, depth, g)
+    xb, yb = np.array(big.x.values), np.array(big.y.values)
     xr = (xb - 1) % M + 1
     yr = (yb - 1) % M + 1
     # reduced-open at (i,j) must imply big-open there: the rows and columns
     # carrying one big letter b must share one reduced letter
     bad = any(np.unique(np.concatenate((xr[xb == b], yr[yb == b]))).size > 1
               for b in np.intersect1d(xb, yb))
-    big = ScheduleGrid(IntSequence(tuple(xb.tolist()), big_m),
-                       IntSequence(tuple(yb.tolist()), big_m))
     red = ScheduleGrid(IntSequence(tuple(xr.tolist()), M),
                        IntSequence(tuple(yr.tolist()), M))
     return bad, survival_depth(red) >= depth, survival_depth(big) >= depth
@@ -252,14 +244,15 @@ def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
     open_uv = xv[:, None] != yv[None, :]
     open_uv[0, 0] = True
     bits, stride = pack_box(open_uv)
-    span = np.arange(box + 1)
-    border, _ = pack_box(np.maximum.outer(span, span) == box)
+    # row box and column box, with no (box+1)^2 temporary wider than bool
+    border, _ = pack_box(np.pad(np.zeros((box, box), bool), (0, 1),
+                                constant_values=True))
     return any(seen & border for seen in
                flood(bits, stride, LatticeKind.SQUARE, 1))
 
 
-def _escape_replica(spec: RngSpec, M: int, box: int) -> bool:
-    return undirected_escape(sample_grid(M, box, spec), box)
+def _escape_replica(g: np.random.Generator, M: int, box: int) -> bool:
+    return undirected_escape(sample_grid(M, box, g), box)
 
 
 def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,

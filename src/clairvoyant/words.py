@@ -230,11 +230,11 @@ class IntSequence:
         return ",".join(str(v) for v in self.values)
 
 
-def sample_uniform_sequence(M: int, n: int, rng: RngSpec) -> IntSequence:
-    """n iid letters uniform on {1, ..., M}."""
+def sample_uniform_sequence(M: int, n: int,
+                            g: np.random.Generator) -> IntSequence:
+    """n iid letters from g, uniform on {1, ..., M}."""
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng.generator()
     return IntSequence(tuple(g.integers(1, M + 1, size=n).tolist()), M)

@@ -280,6 +280,8 @@ _FORCED = {
     "env kwise --pmf {no_outcome} --k 2",
     # 00 listed twice: the rows sum to 5/4
     "env kwise --pmf {dup_outcome} --k 2",
+    # the rows sum to 1, but 00 has probability -1/2
+    "env kwise --pmf {negative} --k 2",
     # the leaf is gone: compat decide answers it with a checked witness
     "compat oracle --x 1 --y 1",
     # flags a subcommand would ignore are refused
@@ -297,10 +299,13 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     dup_outcome = tmp_path / "dup_outcome.csv"
     dup_outcome.write_text("outcome,numerator,denominator\n00,1,4\n01,1,4\n"
                            "10,1,4\n11,1,4\n00,1,4\n")
+    negative = tmp_path / "negative.csv"
+    negative.write_text("outcome,numerator,denominator\n00,-1,2\n11,3,2\n")
     field = tmp_path / "field.txt"
     field.write_text("010\n101\n010\n")
     argv = argv.format(missing=tmp_path / "missing", no_outcome=no_outcome,
-                       dup_outcome=dup_outcome, field=field).split()
+                       dup_outcome=dup_outcome, negative=negative,
+                       field=field).split()
     try:
         code = cli.main(argv)
     except SystemExit as exc:      # argparse exits on unknown flags and leaves

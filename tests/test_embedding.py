@@ -27,6 +27,7 @@ from clairvoyant.words import Word, alternating_word
 from oracles import (
     brute_embed_prob,
     brute_embeddings,
+    brute_mean_embeddings,
     brute_second_moment_ratio,
     embeds,
     enum_embed_counts,
@@ -144,8 +145,8 @@ def test_char_roots_track_recursion_decay():
 
 def test_mean_embeddings_closed_form():
     for M in range(1, 6):
-        for n in range(0, 9):
-            assert mean_embeddings(n, M) == Fraction(M, 2) ** n
+        for n in range(0, 12 // (M + 1) + 1):
+            assert mean_embeddings(n, M) == brute_mean_embeddings(n, M)
     assert mean_embeddings(12, 2) == 1
 
 

@@ -33,6 +33,8 @@ def test_joint_pmf_validation():
         JointPmf(("a",), {(2,): Fraction(1)})
     with pytest.raises(ValueError):
         JointPmf(("a",), {(0,): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        JointPmf(("a",), {(0,): Fraction(-1, 2), (1,): Fraction(3, 2)})
 
 
 def test_marginals():
@@ -85,14 +87,14 @@ def test_finite_distribution_parse_round_trip():
 def test_sample_environment():
     mu = FiniteDistribution.parse("1/4:1/2,3/4:1/2")
     rng = RngSpec(400)
-    env = sample_environment(mu, 30, rng)
+    env = sample_environment(mu, 30, rng.generator())
     assert env.config.shape == (30, 30)
     assert set(np.unique(env.densities)) <= {0.25, 0.75}
-    again = sample_environment(mu, 30, rng)
+    again = sample_environment(mu, 30, rng.generator())
     assert (env.densities == again.densities).all()
     assert (env.config == again.config).all()
     pm = sample_environment(FiniteDistribution.point_mass(Fraction(1, 3)), 10,
-                            rng)
+                            rng.generator())
     assert (pm.densities == 1 / 3).all()
 
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
-from clairvoyant import rng as rng_module
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
-from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, chunk_bounds,
-                                run_chunked)
+from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, PerReplica,
+                                chunk_bounds, run_chunked)
 from clairvoyant.stats import Estimate
 
 
@@ -38,6 +37,11 @@ def test_rng_rejects_negative_stream():
     with pytest.raises(ValueError):
         RngSpec(1, -1)
     assert RngSpec(1).stream(3).stream_id == 3
+    with pytest.raises(ValueError):
+        next(RngSpec(1).generators(-1, 2))
+    with pytest.raises(ValueError):
+        next(RngSpec(1).generators(0, 2, streams=0))
+    assert list(RngSpec(1).generators(3, 3)) == []
 
 
 def _fresh(seed, k):
@@ -60,13 +64,6 @@ def test_reused_generator_draws_equal_fresh_philox(seed):
         for draw in _DRAWS:
             assert (draw(RngSpec(seed, k).generator())
                     == draw(_fresh(seed, k))).all()
-
-
-def test_dropped_generator_is_reused():
-    RngSpec(3, 0).generator().random(5)
-    kept = id(rng_module._last)
-    RngSpec(3, 1).generator().random(5)
-    assert id(rng_module._last) == kept
 
 
 def test_held_generator_keeps_its_stream():
@@ -92,6 +89,17 @@ def test_held_bit_generator_keeps_its_stream():
     assert (bits.random_raw(3) == ref.random_raw(3)).all()
 
 
+def _one_off(offset):
+    for k in range(offset, 400, 4):
+        yield k, RngSpec(9, k).generator()
+
+
+def _rewound(offset):
+    lo = 100 * offset
+    for k, (g,) in enumerate(RngSpec(9).generators(lo, lo + 100), lo):
+        yield k, g
+
+
 def test_generator_reuse_across_threads():
     # four threads ask for streams at a fine switch interval; a generator
     # rewound under a thread that holds it would give that thread wrong draws
@@ -99,12 +107,12 @@ def test_generator_reuse_across_threads():
     bad = []
 
     def work(offset):
-        for k in range(offset, 400, 4):
-            g = RngSpec(9, k).generator()
-            first = g.random(3)
-            if not ((first == want[k][:3]).all()
-                    and (g.random(3) == want[k][3:]).all()):
-                bad.append(k)
+        for draws in (_one_off, _rewound):
+            for k, g in draws(offset):
+                first = g.random(3)
+                if not ((first == want[k][:3]).all()
+                        and (g.random(3) == want[k][3:]).all()):
+                    bad.append((draws.__name__, k))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -136,13 +144,7 @@ def test_bernoulli_rows_equal_per_stream_draws(seed):
 def test_bernoulli_rows_rewind_no_other_generator():
     held = RngSpec(5, 1).generator()
     first = held.random(3)
-    RngSpec(5, 2).generator().random(2)       # dropped: the kept one
-    kept = rng_module._last
     RngSpec(5).bernoulli_rows(0, 50, np.full(8, 0.5))
-    assert rng_module._last is kept
-    ref = _fresh(5, 2)
-    ref.random(2)
-    assert (kept.random(3) == ref.random(3)).all()    # not rewound either
     ref = _fresh(5, 1)
     assert (first == ref.random(3)).all()
     assert (held.random(4) == ref.random(4)).all()
@@ -173,6 +175,20 @@ def test_bernoulli_rows_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def _uniforms(*gens):
+    return tuple(g.random() for g in gens)
+
+
+@pytest.mark.parametrize("streams", [1, 2])
+def test_per_replica_row_k_is_its_streams(streams):
+    want = [tuple(_fresh(8, streams * k + i).random() for i in range(streams))
+            for k in range(40)]
+    for workers in (1, 2, 3):
+        fn = PerReplica(_uniforms, RngSpec(8), streams=streams)
+        got = run_chunked(fn, 40, workers)
+        assert list(map(tuple, got.tolist())) == want
 
 
 def _row_sums(rows):

@@ -72,7 +72,7 @@ def test_survival_matches_brute_force():
     for k in range(60):
         M = 2 + k % 3
         depth = 1 + k % 9
-        g = sample_grid(M, depth, rng.stream(k))
+        g = sample_grid(M, depth, rng.stream(k).generator())
         got = directed_survival(g, depth)
         assert (got is not None) == brute_path_survives(g, depth)
         if got is not None:
@@ -82,7 +82,7 @@ def test_survival_matches_brute_force():
 def test_survival_depth_is_the_frontier_edge():
     rng = RngSpec(55)
     for k in range(25):
-        g = sample_grid(2, 14, rng.stream(k))
+        g = sample_grid(2, 14, rng.stream(k).generator())
         d = survival_depth(g)
         assert directed_survival(g, d) is not None
         if d < g.depth:
@@ -92,7 +92,7 @@ def test_survival_depth_is_the_frontier_edge():
 
 
 def test_survival_depth_rejects_a_negative_cap():
-    g = sample_grid(4, 10, RngSpec(1))
+    g = sample_grid(4, 10, RngSpec(1).generator())
     assert survival_depth(g, 0) == 0
     with pytest.raises(ValueError):
         survival_depth(g, -5)
@@ -113,7 +113,7 @@ def test_bitset_sweep_matches_antidiagonal_oracle():
             antidiagonal_survival_depth(grid, cap), (k, cap)
     rng = RngSpec(2000)
     for k in range(30):
-        grid = sample_grid(4 + k % 3, 200, rng.stream(k))
+        grid = sample_grid(4 + k % 3, 200, rng.stream(k).generator())
         wit = directed_survival(grid, 200)
         assert (wit is not None) == (antidiagonal_survival_depth(grid) == 200)
         if wit is not None:
@@ -131,6 +131,21 @@ def test_deep_kernels_run_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_undirected_escape_border_needs_no_int64_matrix():
+    # the open field and its packed copies take ~13 MB at box 2000; an
+    # int64 (box+1)^2 border temporary would add 32 MB more
+    g = np.random.default_rng(5)
+    x, y = (IntSequence(tuple(g.integers(1, 3, size=2001).tolist()), 2)
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        undirected_escape(ScheduleGrid(x, y), 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_curve_monotone_and_deterministic():
@@ -199,7 +214,7 @@ def test_undirected_escape_matches_brute_force():
     for k in range(400):
         M = int(pick.integers(2, 5))
         box = int(pick.integers(0, 15))
-        grid = sample_grid(M, box, rng.stream(k))
+        grid = sample_grid(M, box, rng.stream(k).generator())
         assert undirected_escape(grid, box) == brute_escape(grid, box), \
             (k, M, box)
 

@@ -144,7 +144,7 @@ def test_int_sequence():
 
 def test_sample_uniform_sequence():
     rng = RngSpec(9)
-    s = sample_uniform_sequence(4, 200, rng)
+    s = sample_uniform_sequence(4, 200, rng.generator())
     assert len(s) == 200
     assert set(s.values) == {1, 2, 3, 4}
-    assert s == sample_uniform_sequence(4, 200, rng)
+    assert s == sample_uniform_sequence(4, 200, rng.generator())
