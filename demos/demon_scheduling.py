@@ -20,8 +20,8 @@ from clairvoyant import (
 
 # one concrete grid, with an explicit scheduling witness when it survives
 grid = sample_grid(M=4, depth=12, g=RngSpec(7).generator())
-print("x walk:", grid.x)
-print("y walk:", grid.y)
+print("x walk:", ",".join(map(str, grid.x)))
+print("y walk:", ",".join(map(str, grid.y)))
 witness = directed_survival(grid, 12)
 if witness is None:
     print("no schedule reaches depth 12")

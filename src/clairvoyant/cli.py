@@ -38,7 +38,7 @@ from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
 from .runner import chunk_bounds
 from .stats import Estimate
-from .words import IntSequence, Word, make_word
+from .words import Word, alternating_word, bernoulli_word, constant_word
 
 
 def _f(x: float) -> str:
@@ -168,8 +168,10 @@ def _do_embed_mc(args):
                                     args.replicas, rng, workers=args.workers)
         target = "random"
     else:
-        if args.target in ("alternating", "constant"):
-            v = make_word(args.target, args.n)
+        if args.target == "alternating":
+            v = alternating_word(args.n)
+        elif args.target == "constant":
+            v = constant_word(args.n)
         else:
             v = _word_arg(args.target)
             if len(v) != args.n:
@@ -189,9 +191,10 @@ def _grid_from_args(args):
     if (args.x is None) != (args.y is None):
         raise ValueError("give both --x and --y or neither")
     if args.x is not None:
-        x = IntSequence(tuple(_parse_ints(args.x)), args.M)
-        y = IntSequence(tuple(_parse_ints(args.y)), args.M)
-        return sched.ScheduleGrid(x, y)
+        # object arrays keep literal values exact past int64
+        return sched.ScheduleGrid(np.array(_parse_ints(args.x), dtype=object),
+                                  np.array(_parse_ints(args.y), dtype=object),
+                                  args.M)
     return sched.sample_grid(args.M, args.depth, _rng(args).generator())
 
 
@@ -331,8 +334,7 @@ def _do_lattice_embed2d(args):
     if args.word is not None:
         w = _word_arg(args.word)
     elif args.word_length is not None:
-        w = make_word("bernoulli", args.word_length, p=0.5,
-                      rng=rng.stream(1))
+        w = bernoulli_word(args.word_length, 0.5, rng.stream(1))
     else:
         raise ValueError("give --word or --word-length")
     path = lat.block_percolation(field, args.R, args.depth)

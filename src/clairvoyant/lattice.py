@@ -393,7 +393,9 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
     """Visibility of the alternating vs constant word on the triangular box.
 
     Word length equals the box radius.  Budget-exhausted searches count as
-    not visible in the estimates and are tallied separately.
+    not visible in the estimates and are tallied separately, so each
+    estimate is a lower bound on its word's visibility whenever its
+    exhausted tally is above 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")

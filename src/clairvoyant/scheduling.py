@@ -31,23 +31,25 @@ from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
 from .stats import Estimate
-from .words import IntSequence, pack_mask, sample_uniform_sequence
+from .words import pack_mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleGrid:
-    """Openness field of a pair of walks; open(i, j) iff x[i] != y[j]."""
+    """Openness field of two walks on {1..M}, held as 1-D arrays;
+    open(i, j) iff x[i] != y[j].
+    """
 
-    x: IntSequence
-    y: IntSequence
+    x: np.ndarray
+    y: np.ndarray
+    M: int
 
     def __post_init__(self):
-        if self.x.M != self.y.M:
-            raise ValueError("walks must share one alphabet")
-
-    @property
-    def M(self) -> int:
-        return self.x.M
+        if self.M < 2:
+            raise ValueError("alphabet size M must be >= 2")
+        for v in (self.x, self.y):
+            if v.size and (v.min() < 1 or v.max() > self.M):
+                raise ValueError("values must lie in 1..M")
 
     @property
     def depth(self) -> int:
@@ -66,8 +68,10 @@ def sample_grid(M: int, depth: int, g: np.random.Generator) -> ScheduleGrid:
     """Grid of two uniform walks from g, x first, each with depth+1 values."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return ScheduleGrid(sample_uniform_sequence(M, depth + 1, g),
-                        sample_uniform_sequence(M, depth + 1, g))
+    if M < 2:
+        raise ValueError("alphabet size M must be >= 2")
+    return ScheduleGrid(g.integers(1, M + 1, size=depth + 1),
+                        g.integers(1, M + 1, size=depth + 1), M)
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,8 @@ def _frontier_sweep(grid: ScheduleGrid, depth: int, keep: bool):
     every cell it visits lies in the grid; keep=True keeps every frontier.
     Letters missing from either walk close nothing and are skipped.
     """
-    xv = np.asarray(grid.x.values[:depth + 1])
-    yrev = np.asarray(grid.y.values[depth::-1])
+    xv = grid.x[:depth + 1]
+    yrev = grid.y[depth::-1]
     masks = [(pack_mask(xv == a), pack_mask(yrev == a))
              for a in np.intersect1d(xv, yrev)]
     f = 1
@@ -183,15 +187,13 @@ def _coupling_replica(g: np.random.Generator, M: int, k: int,
                       depth: int) -> tuple[bool, bool, bool]:
     """(superset broken, reduced grid survives, big grid survives)."""
     big = sample_grid(k * M, depth, g)
-    xb, yb = np.array(big.x.values), np.array(big.y.values)
-    xr = (xb - 1) % M + 1
-    yr = (yb - 1) % M + 1
+    xb, yb = big.x, big.y
+    xr, yr = reduce_value(xb, M), reduce_value(yb, M)
     # reduced-open at (i,j) must imply big-open there: the rows and columns
     # carrying one big letter b must share one reduced letter
     bad = any(np.unique(np.concatenate((xr[xb == b], yr[yb == b]))).size > 1
               for b in np.intersect1d(xb, yb))
-    red = ScheduleGrid(IntSequence(tuple(xr.tolist()), M),
-                       IntSequence(tuple(yr.tolist()), M))
+    red = ScheduleGrid(xr, yr, M)
     return bad, survival_depth(red) >= depth, survival_depth(big) >= depth
 
 
@@ -239,8 +241,8 @@ def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
         raise ValueError("box must be >= 0")
     if box > grid.depth:
         raise ValueError("grid has only %d levels" % grid.depth)
-    xv = np.asarray(grid.x.values[:box + 1])
-    yv = np.asarray(grid.y.values[:box + 1])
+    xv = grid.x[:box + 1]
+    yv = grid.y[:box + 1]
     open_uv = xv[:, None] != yv[None, :]
     open_uv[0, 0] = True
     bits, stride = pack_box(open_uv)
@@ -258,6 +260,8 @@ def _escape_replica(g: np.random.Generator, M: int, box: int) -> bool:
 def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
                   workers: int = 1) -> Estimate:
     """Escape frequency of the undirected open cluster from the origin."""
+    if box < 0:
+        raise ValueError("box must be >= 0")
     fn = PerReplica(_escape_replica, rng, M=M, box=box)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
@@ -271,6 +275,8 @@ def kwise_joint(vertices, M: int, max_terms: int = 10_000_000) -> JointPmf:
     Y-indices.  Vertices must have i, j >= 1 (the axis rows involve the
     declared-open origin and the starting values).
     """
+    if M < 2:
+        raise ValueError("alphabet size M must be >= 2")
     verts = tuple((int(i), int(j)) for i, j in vertices)
     if not verts:
         raise ValueError("need at least one vertex")

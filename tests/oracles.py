@@ -28,10 +28,6 @@ def all_zero_deletions(letters):
     return out
 
 
-def brute_reduces_to(x_letters, y_letters):
-    return tuple(y_letters) in all_zero_deletions(tuple(x_letters))
-
-
 def brute_embeddings(v_letters, y_letters, M):
     """All 1-based position tuples m_1 < ... < m_n with gaps in 1..M."""
     n = len(v_letters)
@@ -136,8 +132,7 @@ def brute_path_survives(grid, depth):
 def antidiagonal_survival_depth(grid, max_depth=None):
     """Survival depth by a numpy sweep over the (d+1)^2 openness matrix."""
     depth = grid.depth if max_depth is None else min(max_depth, grid.depth)
-    xv = np.asarray(grid.x.values)
-    yv = np.asarray(grid.y.values)
+    xv, yv = grid.x, grid.y
     nx = len(xv) - 1
     ny = len(yv) - 1
     open_uv = xv[:, None] != yv[None, :]

@@ -257,6 +257,15 @@ _FORCED = {
 }
 
 
+# the message each of these rows must print
+_SAYS = {
+    "schedule kwise --vertices 1,1 --M 1": "alphabet size M must be >= 2",
+    "schedule kwise --vertices 1,1 --M 0": "alphabet size M must be >= 2",
+    "lattice embed2d --R 2 --depth 2 --word-length -1": "n must be >= 0",
+    "schedule undirected --M 2 --box -1 --replicas 5": "box must be >= 0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     "embed mc --M 0 --n 5",
     "embed mc --M 0 --n 5 --target alternating",
@@ -290,6 +299,11 @@ _FORCED = {
     "lattice embed2d --R 2 --depth 3 --word 01 --workers 2",
     # running out of memory, forced by a patched handler (see _FORCED)
     "schedule undirected --M 2 --box 3 --replicas 1",
+    # the rows below are refused in the words of the flag given (see _SAYS)
+    "schedule kwise --vertices 1,1 --M 1",
+    "schedule kwise --vertices 1,1 --M 0",
+    "lattice embed2d --R 2 --depth 2 --word-length -1",
+    "schedule undirected --M 2 --box -1 --replicas 5",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:
@@ -314,6 +328,18 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     assert code == 2
     assert "error" in err
     assert "Traceback" not in err
+    assert _SAYS.get(" ".join(argv), "") in err
+
+
+def test_survive_literal_walks_past_int64(tmp_path):
+    # values past int64 stay exact Python ints in object arrays; numpy
+    # would read 1 and 2^63 as float64, where 2^63 == 2^63 + 2 closes (1, 0)
+    for M, x, y in (("100000000000000000000000",
+                     "1,10000000000000000000000", "2,1"),
+                    (str(2**64), "1,%d" % 2**63, "%d,1" % (2**63 + 2))):
+        rows, _, _ = run_csv(tmp_path, ["schedule", "survive", "--M", M,
+                                        "--depth", "1", "--x", x, "--y", y])
+        assert rows == [{"survived": "true", "path": "[[0,0],[1,0]]"}]
 
 
 def test_exact_fraction_past_int_str_limit(tmp_path, capsys):

@@ -20,7 +20,6 @@ from clairvoyant.scheduling import (
     undirected_mc,
     validate_path,
 )
-from clairvoyant.words import IntSequence
 
 from oracles import (
     antidiagonal_survival_depth,
@@ -30,7 +29,7 @@ from oracles import (
 
 
 def grid_of(xv, yv, M):
-    return ScheduleGrid(IntSequence(tuple(xv), M), IntSequence(tuple(yv), M))
+    return ScheduleGrid(np.array(xv), np.array(yv), M)
 
 
 def test_openness_semantics():
@@ -39,8 +38,28 @@ def test_openness_semantics():
     assert not g.is_open(0, 1)      # x[0] == y[1]
     assert g.is_open(1, 0)          # x[1] != y[0]
     assert g.M == 2 and g.depth == 1
-    with pytest.raises(ValueError):
-        ScheduleGrid(IntSequence((1,), 2), IntSequence((1,), 3))
+
+
+def test_schedule_grid_validation():
+    g = grid_of((1, 3, 2), (2, 2), 3)
+    assert g.depth == 1 and g.x[1] == 3
+    for xv, yv, M in (((0, 1), (1,), 2), ((1, 4), (1,), 3),
+                      ((1,), (3,), 2), ((1,), (1,), 1)):
+        with pytest.raises(ValueError):
+            grid_of(xv, yv, M)
+    with pytest.raises(ValueError, match="M must be >= 2"):
+        sample_grid(1, 3, RngSpec(1).generator())
+
+
+def test_sample_grid_range_and_determinism():
+    rng = RngSpec(9)
+    g = sample_grid(4, 199, rng.generator())
+    assert len(g.x) == len(g.y) == 200
+    assert set(g.x.tolist()) == set(g.y.tolist()) == {1, 2, 3, 4}
+    # x first: two consecutive draws of depth+1 values from one generator
+    gen = rng.generator()
+    for walk in (g.x, g.y):
+        assert np.array_equal(walk, gen.integers(1, 5, size=200))
 
 
 def test_equal_walks_die_immediately():
@@ -105,9 +124,8 @@ def test_bitset_sweep_matches_antidiagonal_oracle():
         nx, ny = g.integers(0, 301, size=2)
         if k % 3 == 0:
             ny = nx
-        x = IntSequence(tuple(g.integers(1, M + 1, size=nx + 1).tolist()), M)
-        y = IntSequence(tuple(g.integers(1, M + 1, size=ny + 1).tolist()), M)
-        grid = ScheduleGrid(x, y)
+        grid = ScheduleGrid(g.integers(1, M + 1, size=nx + 1),
+                            g.integers(1, M + 1, size=ny + 1), M)
         cap = None if k % 4 else int(g.integers(0, 320))
         assert survival_depth(grid, cap) == \
             antidiagonal_survival_depth(grid, cap), (k, cap)
@@ -137,11 +155,10 @@ def test_undirected_escape_border_needs_no_int64_matrix():
     # the open field and its packed copies take ~13 MB at box 2000; an
     # int64 (box+1)^2 border temporary would add 32 MB more
     g = np.random.default_rng(5)
-    x, y = (IntSequence(tuple(g.integers(1, 3, size=2001).tolist()), 2)
-            for _ in range(2))
+    x, y = (g.integers(1, 3, size=2001) for _ in range(2))
     tracemalloc.start()
     try:
-        undirected_escape(ScheduleGrid(x, y), 2000)
+        undirected_escape(ScheduleGrid(x, y, 2), 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -187,6 +204,9 @@ def test_kwise_rejects_bad_vertices():
         kwise_joint([(1, 1), (1, 1)], 2)
     with pytest.raises(BudgetError):
         kwise_joint([(i, i) for i in range(1, 9)], 10, max_terms=1000)
+    for M in (1, 0):
+        with pytest.raises(ValueError, match="M must be >= 2"):
+            kwise_joint([(1, 1)], M)
 
 
 def test_undirected_escape_examples():
