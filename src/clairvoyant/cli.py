@@ -191,10 +191,12 @@ def _grid_from_args(args):
     if (args.x is None) != (args.y is None):
         raise ValueError("give both --x and --y or neither")
     if args.x is not None:
+        x, y = _parse_ints(args.x), _parse_ints(args.y)
+        if not x or not y:
+            raise ValueError("--x and --y must each give at least one value")
         # object arrays keep literal values exact past int64
-        return sched.ScheduleGrid(np.array(_parse_ints(args.x), dtype=object),
-                                  np.array(_parse_ints(args.y), dtype=object),
-                                  args.M)
+        return sched.ScheduleGrid(np.array(x, dtype=object),
+                                  np.array(y, dtype=object), args.M)
     return sched.sample_grid(args.M, args.depth, _rng(args).generator())
 
 

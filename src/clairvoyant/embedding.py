@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -448,8 +449,9 @@ def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
         raise ValueError("gap bound M must be >= 1")
     if not 0.0 <= p_y <= 1.0:
         raise ValueError("p_y must lie in [0, 1]")
-    fn = PerBlock(_embeds_block, rng, np.full(M * len(v), p_y), n=len(v),
-                  M=M, vbits=v.bits)
+    probs = np.full(M * len(v), p_y)
+    fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
+                  probs.size, n=len(v), M=M, vbits=v.bits)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 
@@ -468,7 +470,8 @@ def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
         if not 0.0 <= p <= 1.0:
             raise ValueError("letter densities must lie in [0, 1]")
     probs = np.concatenate([np.full(n, p_x), np.full(M * n, p_y)])
-    fn = PerBlock(_embeds_block, rng, probs, n=n, M=M, vbits=None)
+    fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
+                  probs.size, n=n, M=M, vbits=None)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -429,6 +429,8 @@ def block_good_mc(p: float, R: int, replicas: int, rng: RngSpec,
         raise ValueError("R must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    fn = PerBlock(_good_blocks, rng, np.full((R, R), p))
+    probs = np.full((R, R), p)
+    fn = PerBlock(_good_blocks, partial(rng.bernoulli_rows, probs=probs),
+                  probs.size)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)

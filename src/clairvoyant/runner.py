@@ -18,17 +18,22 @@ its chunk function from one of two kinds of kernel:
   once per replica, where ``gens`` holds generators at the start of
   streams ``streams * k + i``, i < streams, from ``rng.generators``; the
   kernel draws all of its randomness from them and returns a bool, an
-  int, or a tuple of them.  The runner rewinds the same generators for
-  every replica, so a kernel must not keep them past its return.
-* ``PerBlock(kernel, rng, probs, **params)`` serves models whose replicas
-  need nothing but Bernoulli letters with per-letter densities ``probs``.
-  It hands a block kernel
+  int, a tuple of them, or arrays of one shape for every replica.  The
+  runner rewinds the same generators for every replica, so a kernel must
+  not keep them past its return.
+* ``PerBlock(kernel, draw, letters, **params)`` runs a block kernel
 
       kernel(rows: np.ndarray, **params) -> array
 
-  whole blocks of ``rng.bernoulli_rows`` draws, at most ``BLOCK_LETTERS``
-  letters a block; row i of a block is replica ``a + i``'s letters, drawn
-  from stream ``a + i``, and the kernel returns one result per row.
+  on whole blocks of replicas, at most ``BLOCK_LETTERS // letters`` (and at
+  least one) a block, where ``letters`` is what one replica draws.  Its
+  rows come from a draw function ``draw(lo, hi)``, which, like a chunk
+  function, returns one row per replica lo <= k < hi from replica k's own
+  streams; the kernel returns one result per row.  There are two:
+  ``functools.partial(rng.bernoulli_rows, probs=probs)`` draws Bernoulli
+  letters with per-letter densities ``probs`` straight into the block, and
+  ``PerReplica(sampler, rng, **params)`` stacks what a one-replica sampler
+  draws from each replica's generators.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .rng import RngSpec
 
 ChunkFn = Callable[[int, int], np.ndarray]
 
-# The most letters PerBlock draws into one block: 512 KiB of uniforms.
+# The most letters PerBlock draws into one block: 512 KiB of float64
+# uniforms or int64 walk values.
 BLOCK_LETTERS = 1 << 16
 
 
@@ -69,27 +75,28 @@ class PerReplica:
 
 
 class PerBlock:
-    """Chunk function of a block kernel over Bernoulli letters.
+    """Chunk function of a block kernel: row k is func's result for the
+    row ``draw`` gives replica k.
 
     Replicas lo <= k < hi are drawn in blocks of at most ``BLOCK_LETTERS``
-    letters (one row, at least, per block) by ``rng.bernoulli_rows`` and
-    each block goes to ``func(rows, **params)``; row k of the result is
-    the kernel's result for stream k's letters, however the replicas are
-    chunked.  Like `PerReplica`, the kernel sits in ``func`` and instances
-    pickle whenever the kernel is a module-level function.
+    letters (one row, at least, per block) by ``draw(a, b)``, and each
+    block goes to ``func(rows, **params)``; row k of the result is the
+    kernel's result for stream k's draws, however the replicas are
+    chunked.  Like `PerReplica`, the kernel sits in ``func``, and instances
+    pickle whenever the kernel and the draw function do.
     """
 
-    def __init__(self, func: Callable, rng: RngSpec, probs, **params):
+    def __init__(self, func: Callable, draw: ChunkFn, letters: int,
+                 **params):
         self.func = func
-        self.rng = rng
-        self.probs = np.asarray(probs, dtype=float)
+        self.draw = draw
+        self.letters = letters
         self.params = params
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
-        step = max(1, BLOCK_LETTERS // max(1, self.probs.size))
+        step = max(1, BLOCK_LETTERS // max(1, self.letters))
         return np.concatenate([
-            self.func(self.rng.bernoulli_rows(a, min(a + step, hi),
-                                              self.probs), **self.params)
+            self.func(self.draw(a, min(a + step, hi)), **self.params)
             for a in range(lo, hi, step)])
 
 

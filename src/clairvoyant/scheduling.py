@@ -5,11 +5,23 @@ is open when X_i != Y_j, and the scheduler survives to depth n when a
 monotone lattice path from the origin reaches the antidiagonal i + j = n
 through open vertices.  The origin itself is declared open.
 
-Survival is swept one antidiagonal at a time on Python-int bitsets: bit u
-of the level-d frontier f is cell (u, d - u).  X_a has bit u where x[u] == a;
-Yrev_a has bit k where y[D - k] == a, y read backwards from D, the deepest
-level swept.  Yrev_a >> (D - d) has bit u where y[d - u] == a, so level d is
-f = (f | f << 1) & ~OR_a(X_a & (Yrev_a >> (D - d))), in linear memory.
+Survival is swept one antidiagonal at a time on Python-int bitsets, for a
+block of B walk pairs at once.  The rows of the block are interleaved: bit
+u*B + b of the level-d frontier f is cell (u, d - u) of pair b.  X_a has
+bit u*B + b where x_b[u] == a; Yrev_a has bit k*B + b where y_b[D - k] == a,
+y read backwards from D, the deepest level swept.  Yrev_a >> (D - d)*B has
+bit u*B + b where y_b[d - u] == a, so from f = (1 << B) - 1 at level 0,
+
+    f = (f | f << B) & ~OR_a(X_a & (Yrev_a >> (D - d)*B)),
+
+in linear memory, until f is 0 or level D is reached.  Shifts by whole
+multiples of B never move a bit into another pair's residue, so the pairs
+do not interact; level d touches only the low (d + 1)*B bits, so the
+big-int work is what B sweeps of one pair would do, and the Python work per
+level is paid once per block.  With B = 1 it is the sweep of a single
+pair, bit for bit: `survival_depth` and `directed_survival` run it on one
+grid, and `survival_curve_mc` and `coupling_check` on blocks of replicas,
+reading each pair's liveness out of f only at the depths they report.
 
 Index 0 of each walk is its starting point, so the axis vertices (i, 0) and
 (0, j) compare against Y_0 and X_0 respectively.  The open field is 3-wise
@@ -29,9 +41,9 @@ from .environment import JointPmf
 from .errors import BudgetError, PropertyViolation
 from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
-from .runner import PerReplica, run_chunked
+from .runner import PerBlock, PerReplica, run_chunked
 from .stats import Estimate
-from .words import pack_mask
+from .words import pack_mask, unpack_mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +76,21 @@ class ScheduleGrid:
         return self.x[i] != self.y[j]
 
 
+def _walks(g: np.random.Generator, M: int,
+           depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walks x and y, each with depth+1 uniform values on {1..M} from g,
+    x drawn first."""
+    x = g.integers(1, M + 1, size=depth + 1)
+    return x, g.integers(1, M + 1, size=depth + 1)
+
+
 def sample_grid(M: int, depth: int, g: np.random.Generator) -> ScheduleGrid:
     """Grid of two uniform walks from g, x first, each with depth+1 values."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
-    return ScheduleGrid(g.integers(1, M + 1, size=depth + 1),
-                        g.integers(1, M + 1, size=depth + 1), M)
+    return ScheduleGrid(*_walks(g, M, depth), M)
 
 
 @dataclass(frozen=True)
@@ -94,28 +113,38 @@ def validate_path(witness: PathWitness, grid: ScheduleGrid) -> bool:
     return True
 
 
-def _frontier_sweep(grid: ScheduleGrid, depth: int, keep: bool):
-    """The sweep of the module docstring with D = depth <= grid.depth, so
-    every cell it visits lies in the grid; keep=True keeps every frontier.
-    Letters missing from either walk close nothing and are skipped.
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The values of v, each once, in increasing order.  `np.unique` takes
+    ten times as long on a block, and imports numpy.ma on its first call
+    in each worker process."""
+    s = np.sort(v, axis=None)
+    return s[np.append(True, s[1:] != s[:-1])]
+
+
+def _frontiers(x: np.ndarray, y: np.ndarray, depth: int):
+    """Frontiers of the sweep of the module docstring over the walk pairs
+    (x[b], y[b]), B = len(x), with D = depth; every walk holds depth + 1
+    values or more.  Yields levels 0, 1, ... up to the last non-empty one.
+    Letters missing from every walk of x or of y close nothing and are
+    skipped.
     """
-    xv = grid.x[:depth + 1]
-    yrev = grid.y[depth::-1]
-    masks = [(pack_mask(xv == a), pack_mask(yrev == a))
-             for a in np.intersect1d(xv, yrev)]
-    f = 1
-    frontiers = [f]
+    rows = len(x)
+    xv = x[:, :depth + 1]
+    yrev = y[:, depth::-1]
+    masks = [(pack_mask((xv == a).T), pack_mask((yrev == a).T))
+             for a in np.intersect1d(_distinct(xv), _distinct(yrev),
+                                     assume_unique=True)]
+    f = (1 << rows) - 1
+    yield f
     for d in range(1, depth + 1):
-        shift = depth - d
+        shift = (depth - d) * rows
         closed = 0
         for xa, ya in masks:
             closed |= xa & (ya >> shift)
-        f = (f | f << 1) & ~closed
+        f = (f | f << rows) & ~closed
         if not f:
-            return d - 1, frontiers
-        if keep:
-            frontiers.append(f)
-    return depth, frontiers
+            return
+        yield f
 
 
 def survival_depth(grid: ScheduleGrid, max_depth: int | None = None) -> int:
@@ -123,7 +152,9 @@ def survival_depth(grid: ScheduleGrid, max_depth: int | None = None) -> int:
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     limit = grid.depth if max_depth is None else min(max_depth, grid.depth)
-    reached, _ = _frontier_sweep(grid, limit, keep=False)
+    for reached, _ in enumerate(_frontiers(grid.x[None], grid.y[None],
+                                           limit)):
+        pass
     return reached
 
 
@@ -133,8 +164,8 @@ def directed_survival(grid: ScheduleGrid, depth: int) -> PathWitness | None:
         raise ValueError("depth must be >= 0")
     if depth > grid.depth:
         raise ValueError("grid has only %d levels" % grid.depth)
-    reached, frontiers = _frontier_sweep(grid, depth, keep=True)
-    if reached < depth:
+    frontiers = list(_frontiers(grid.x[None], grid.y[None], depth))
+    if len(frontiers) <= depth:
         return None
     last = frontiers[depth]
     u = (last & -last).bit_length() - 1
@@ -150,22 +181,43 @@ def directed_survival(grid: ScheduleGrid, depth: int) -> PathWitness | None:
     return witness
 
 
-def _curve_replica(g: np.random.Generator, M: int, max_depth: int) -> int:
-    return survival_depth(sample_grid(M, max_depth, g))
+def _survival_block(walks: np.ndarray, depths: tuple[int, ...]) -> np.ndarray:
+    """Block kernel: walks[b] holds rows x and y of pair b; row b of the
+    result says whether pair b survives to each of depths."""
+    rows = len(walks)
+    wanted = set(depths)
+    alive = {}
+    for d, f in enumerate(_frontiers(walks[:, 0], walks[:, 1],
+                                     max(depths))):
+        if d in wanted:
+            alive[d] = unpack_mask(f, (d + 1) * rows).reshape(
+                d + 1, rows).any(axis=0)
+    dead = np.zeros(rows, dtype=bool)
+    return np.column_stack([alive.get(d, dead) for d in depths])
+
+
+def _curve_chunk_fn(M: int, depths, rng: RngSpec) -> PerBlock:
+    """Row k: whether replica k survives to each of depths.  Its walks
+    come from its own stream, drawn as `sample_grid` draws them."""
+    depth = max(depths)
+    return PerBlock(_survival_block, PerReplica(_walks, rng, M=M, depth=depth),
+                    2 * (depth + 1), depths=tuple(depths))
 
 
 def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
                       workers: int = 1) -> list[Estimate]:
     """P(directed survival to depth d) for each requested d, shared samples.
 
-    One survival depth is computed per replica, so the estimates are
-    monotone non-increasing in d sample by sample, not just on average.
+    Each replica is swept once to the deepest requested level, so the
+    estimates are monotone non-increasing in d sample by sample, not just
+    on average.
     """
+    if M < 2:
+        raise ValueError("alphabet size M must be >= 2")
     if not depths or any(d < 0 for d in depths):
         raise ValueError("depths must be non-negative")
-    fn = PerReplica(_curve_replica, rng, M=M, max_depth=max(depths))
-    reached = run_chunked(fn, replicas, workers)
-    return [Estimate.from_samples(reached >= d, rng) for d in depths]
+    alive = run_chunked(_curve_chunk_fn(M, depths, rng), replicas, workers)
+    return [Estimate.from_samples(col, rng) for col in alive.T]
 
 
 def reduce_value(v: int, M: int) -> int:
@@ -183,18 +235,46 @@ class CouplingReport:
     big_survivals: int
 
 
-def _coupling_replica(g: np.random.Generator, M: int, k: int,
-                      depth: int) -> tuple[bool, bool, bool]:
-    """(superset broken, reduced grid survives, big grid survives)."""
-    big = sample_grid(k * M, depth, g)
-    xb, yb = big.x, big.y
-    xr, yr = reduce_value(xb, M), reduce_value(yb, M)
-    # reduced-open at (i,j) must imply big-open there: the rows and columns
-    # carrying one big letter b must share one reduced letter
-    bad = any(np.unique(np.concatenate((xr[xb == b], yr[yb == b]))).size > 1
-              for b in np.intersect1d(xb, yb))
-    red = ScheduleGrid(xr, yr, M)
-    return bad, survival_depth(red) >= depth, survival_depth(big) >= depth
+def _superset_broken(big: np.ndarray, red: np.ndarray) -> np.ndarray:
+    """Per walk pair of a block, whether some cell open in the reduced grid
+    is closed in the big one: whether a big letter on both walks meets two
+    reduced letters.  Each row of letters is sorted by (big, reduced)
+    value, so a group of equal big letters holds its reduced letters in
+    order, and carries two of them iff its first and last differ.
+    """
+    rows = len(big)
+    width = big[0].size
+    v, r = big.reshape(rows, width), red.reshape(rows, width)
+    order = np.lexsort((r, v))
+    on_y = (order >= width // 2).ravel()
+    v = np.take_along_axis(v, order, axis=1).ravel()
+    r = np.take_along_axis(r, order, axis=1).ravel()
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    first[::width] = True
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], v.size) - 1
+    both = (np.logical_or.reduceat(on_y, starts)
+            & ~np.logical_and.reduceat(on_y, starts))
+    bad = starts[both & (r[starts] != r[ends])] // width
+    return np.bincount(bad, minlength=rows) > 0
+
+
+def _coupling_block(walks: np.ndarray, M: int, depth: int) -> np.ndarray:
+    """Block kernel: per pair of big walks, (superset broken, reduced grid
+    survives, big grid survives)."""
+    red = reduce_value(walks, M)
+    return np.column_stack((_superset_broken(walks, red),
+                            _survival_block(red, (depth,)),
+                            _survival_block(walks, (depth,))))
+
+
+def _coupling_chunk_fn(M: int, k: int, depth: int, rng: RngSpec) -> PerBlock:
+    """Row j: `_coupling_block` of replica j's walks on {1..kM}, drawn from
+    its own stream as `sample_grid` draws them."""
+    walks = PerReplica(_walks, rng, M=k * M, depth=depth)
+    return PerBlock(_coupling_block, walks, 2 * (depth + 1), M=M,
+                    depth=depth)
 
 
 def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
@@ -211,8 +291,7 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
         raise ValueError("k must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    fn = PerReplica(_coupling_replica, rng, M=M, k=k, depth=depth)
-    res = run_chunked(fn, samples, workers)
+    res = run_chunked(_coupling_chunk_fn(M, k, depth, rng), samples, workers)
     superset_bad = int(res[:, 0].sum())
     ordering_bad = int((res[:, 1] & ~res[:, 2]).sum())
     if superset_bad or ordering_bad:

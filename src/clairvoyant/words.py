@@ -78,7 +78,8 @@ class Word:
 
 
 def pack_mask(mask: np.ndarray) -> int:
-    """A 1-D bool array packed LSB-first into an int, the layout of Word.bits."""
+    """A bool array, read in C order, packed LSB-first into an int: the
+    layout of Word.bits."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
                           "little")
 

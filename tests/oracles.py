@@ -4,13 +4,15 @@ Everything here favors obviousness over speed: plain recursion, explicit
 enumeration, no bit tricks.  The exceptions are ``enum_embed_counts``,
 which runs the frontier sweep on every target at once with numpy so full
 scans stay affordable, and ``antidiagonal_survival_depth``, the numpy
-antidiagonal sweep that checks the package's bitset sweep on grids far
-deeper than ``brute_path_survives`` can try.  The package must agree with
-these on every instance small enough to enumerate.
+antidiagonal sweep, in linear memory, that checks the package's bitset
+sweep on grids far deeper than ``brute_path_survives`` can try.  The
+package must agree with these on every instance small enough to
+enumerate.
 """
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -130,12 +132,12 @@ def brute_path_survives(grid, depth):
 
 
 def antidiagonal_survival_depth(grid, max_depth=None):
-    """Survival depth by a numpy sweep over the (d+1)^2 openness matrix."""
+    """Survival depth by a numpy sweep over the antidiagonals, comparing
+    x[u] with y[d - u] for each cell (u, d - u) of level d."""
     depth = grid.depth if max_depth is None else min(max_depth, grid.depth)
     xv, yv = grid.x, grid.y
     nx = len(xv) - 1
     ny = len(yv) - 1
-    open_uv = xv[:, None] != yv[None, :]
     f = np.zeros(nx + 1, dtype=bool)
     f[0] = True
     d = 0
@@ -147,7 +149,7 @@ def antidiagonal_survival_depth(grid, max_depth=None):
         u1 = min(nx, d)
         ok = np.zeros(nx + 1, dtype=bool)
         us = np.arange(u0, u1 + 1)
-        ok[us] = open_uv[us, d - us]
+        ok[us] = xv[us] != yv[d - us]
         nf &= ok
         if not nf.any():
             return d - 1
@@ -288,6 +290,16 @@ def fixed_word_replica(spec, v_letters, M, p_y):
 def survival_replica(spec, n, M, p_x, p_y):
     draws = spec.generator().random(n + M * n)
     return embeds(draws[:n] < p_x, draws[n:] < p_y, M)
+
+
+def curve_replica(spec, M, max_depth):
+    """Survival depth of two walks on {1..M} with max_depth + 1 values
+    each, x drawn first."""
+    g = spec.generator()
+    x = g.integers(1, M + 1, size=max_depth + 1)
+    y = g.integers(1, M + 1, size=max_depth + 1)
+    return antidiagonal_survival_depth(SimpleNamespace(x=x, y=y,
+                                                       depth=max_depth))
 
 
 def good_block_replica(spec, p, R):

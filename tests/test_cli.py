@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clairvoyant import cli
+from clairvoyant.runner import BLOCK_LETTERS
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -246,6 +247,42 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+# Payload bytes recorded while each replica was still swept on its own,
+# before replicas were swept in blocks.  At these depths a block holds at
+# most 10 (curve) or 81 (coupling) replicas, so every chunk spans several.
+_SCHEDULE_BYTES = {
+    "schedule curve --M 4 --depths 3000,0,40,3000,300 --replicas 90 --seed 5":
+        b"depth,estimate,stderr\n"
+        b"3000,7.33333333333e-01,4.68748699540e-02\n"
+        b"0,1.00000000000e+00,0.00000000000e+00\n"
+        b"40,7.66666666667e-01,4.48328843106e-02\n"
+        b"3000,7.33333333333e-01,4.68748699540e-02\n"
+        b"300,7.33333333333e-01,4.68748699540e-02\n",
+    "schedule curve --M 4 --depths 3000,0,40,3000,300 --replicas 90 --seed 6":
+        b"depth,estimate,stderr\n"
+        b"3000,7.55555555556e-01,4.55541852965e-02\n"
+        b"0,1.00000000000e+00,0.00000000000e+00\n"
+        b"40,7.88888888889e-01,4.32582017782e-02\n"
+        b"3000,7.55555555556e-01,4.55541852965e-02\n"
+        b"300,7.55555555556e-01,4.55541852965e-02\n",
+    "schedule coupling --M 4 --k 2 --depth 400 --replicas 600 --seed 7":
+        b"M,k,depth,samples,reduced_survivals,big_survivals\n"
+        b"4,2,400,600,451,588\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_SCHEDULE_BYTES))
+def test_schedule_payload_bytes_pinned(tmp_path, argv):
+    depth = int(re.search(r"--depths? (\d+)", argv).group(1))
+    replicas = int(re.search(r"--replicas (\d+)", argv).group(1))
+    assert BLOCK_LETTERS // (2 * (depth + 1)) < replicas // 3
+    for workers in (1, 2, 3):
+        out = tmp_path / ("w%d.csv" % workers)
+        assert cli.main(argv.split() + ["--workers", str(workers),
+                                        "--out", str(out)]) == 0
+        assert out.read_bytes() == _SCHEDULE_BYTES[argv], workers
+
+
 def _out_of_memory(args):
     raise MemoryError("forced")
 
@@ -263,6 +300,10 @@ _SAYS = {
     "schedule kwise --vertices 1,1 --M 0": "alphabet size M must be >= 2",
     "lattice embed2d --R 2 --depth 2 --word-length -1": "n must be >= 0",
     "schedule undirected --M 2 --box -1 --replicas 5": "box must be >= 0",
+    "schedule curve --M 1 --depths 5 --replicas 3":
+        "alphabet size M must be >= 2",
+    "schedule curve --M 0 --depths 5 --replicas 3":
+        "alphabet size M must be >= 2",
 }
 
 
@@ -304,6 +345,8 @@ _SAYS = {
     "schedule kwise --vertices 1,1 --M 0",
     "lattice embed2d --R 2 --depth 2 --word-length -1",
     "schedule undirected --M 2 --box -1 --replicas 5",
+    "schedule curve --M 1 --depths 5 --replicas 3",
+    "schedule curve --M 0 --depths 5 --replicas 3",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:
@@ -340,6 +383,17 @@ def test_survive_literal_walks_past_int64(tmp_path):
         rows, _, _ = run_csv(tmp_path, ["schedule", "survive", "--M", M,
                                         "--depth", "1", "--x", x, "--y", y])
         assert rows == [{"survived": "true", "path": "[[0,0],[1,0]]"}]
+
+
+def test_survive_refuses_empty_literal_walks(capsys):
+    # an empty walk has no starting value; the depth check used to refuse
+    # it as "grid has only -1 levels", naming no flag
+    for x, y in (("", ""), ("", "1"), ("1,2", ","), (",", "2,1")):
+        assert cli.main(["schedule", "survive", "--M", "2", "--depth", "0",
+                         "--x", x, "--y", y]) == 2
+        err = capsys.readouterr().err
+        assert "--x and --y must each give at least one value" in err
+        assert "Traceback" not in err
 
 
 def test_exact_fraction_past_int_str_limit(tmp_path, capsys):

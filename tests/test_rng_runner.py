@@ -1,11 +1,14 @@
+import pickle
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
+from clairvoyant import scheduling
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
 from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, PerReplica,
@@ -195,14 +198,51 @@ def _row_sums(rows):
     return rows.reshape(len(rows), -1).sum(axis=1)
 
 
+def _bernoulli_block(seed, probs):
+    draw = partial(RngSpec(seed).bernoulli_rows, probs=probs)
+    return PerBlock(_row_sums, draw, probs.size)
+
+
 def test_per_block_row_k_is_stream_k():
-    rng = RngSpec(8)
     probs = np.linspace(0.0, 1.0, 5000)
     assert BLOCK_LETTERS // probs.size < 40      # several blocks a chunk
     want = [(_fresh(8, k).random(5000) < probs).sum() for k in range(40)]
     for workers in (1, 2, 3):
-        got = run_chunked(PerBlock(_row_sums, rng, probs), 40, workers)
+        got = run_chunked(_bernoulli_block(8, probs), 40, workers)
         assert got.tolist() == want
+
+
+def _integer_draws(g, size):
+    return g.integers(0, 1000, size=size)
+
+
+def _per_replica_block(seed, size):
+    return PerBlock(_row_sums, PerReplica(_integer_draws, RngSpec(seed),
+                                          size=size), size)
+
+
+def test_per_block_of_generator_draws_row_k_is_stream_k():
+    size = 3000
+    assert BLOCK_LETTERS // size < 40            # several blocks a chunk
+    want = [_fresh(4, k).integers(0, 1000, size=size).sum()
+            for k in range(40)]
+    fn = _per_replica_block(4, size)
+    for workers in (1, 2, 3):
+        assert run_chunked(fn, 40, workers).tolist() == want
+    cuts = (0, 1, 4, 25, 40)       # uneven chunks, some inside one block
+    assert np.concatenate([fn(a, b) for a, b in zip(cuts, cuts[1:])
+                           ]).tolist() == want
+
+
+def test_chunk_functions_survive_pickling():
+    # process pools that start workers by spawn or forkserver pickle them
+    probs = np.linspace(0.0, 1.0, 5000)
+    for fn in (_bernoulli_block(8, probs), _per_replica_block(4, 3000),
+               PerReplica(_uniforms, RngSpec(8), streams=2),
+               scheduling._curve_chunk_fn(4, [40, 0, 7], RngSpec(2)),
+               scheduling._coupling_chunk_fn(2, 3, 40, RngSpec(2))):
+        again = pickle.loads(pickle.dumps(fn))
+        assert np.array_equal(again(3, 30), fn(3, 30))
 
 
 def test_estimate_from_samples():

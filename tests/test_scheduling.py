@@ -1,11 +1,14 @@
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from clairvoyant import scheduling
 from clairvoyant.errors import BudgetError, PropertyViolation
 from clairvoyant.rng import RngSpec
+from clairvoyant.runner import BLOCK_LETTERS, run_chunked
 from clairvoyant.scheduling import (
     PathWitness,
     ScheduleGrid,
@@ -25,6 +28,7 @@ from oracles import (
     antidiagonal_survival_depth,
     brute_escape,
     brute_path_survives,
+    curve_replica,
 )
 
 
@@ -245,3 +249,75 @@ def test_undirected_mc_deterministic():
     b = undirected_mc(2, 6, 300, rng, workers=4)
     assert a == b
     assert 0.0 <= a.mean <= 1.0
+
+
+def _curve_rows(M, depths, replicas, rng):
+    return run_chunked(scheduling._curve_chunk_fn(M, depths, rng), replicas)
+
+
+@pytest.mark.parametrize("M", range(2, 9))
+def test_block_sweep_matches_curve_replica_oracle(M):
+    # depth 0, repeats and unsorted depths; 850 replicas are one block of
+    # 799 rows and one of 51, where dead and surviving pairs sit together
+    rng = RngSpec(40 + M)
+    depths = (40, 0, 13, 40, 5, 2)
+    rows = BLOCK_LETTERS // (2 * (max(depths) + 1))
+    assert rows == 799
+    got = _curve_rows(M, depths, 850, rng)
+    reached = np.array([curve_replica(rng.stream(k), M, max(depths))
+                        for k in range(850)])
+    assert got.shape == (850, len(depths))
+    assert np.array_equal(got, reached[:, None] >= np.array(depths))
+    first = got[:rows]
+    assert any(col.any() and not col.all() for col in first.T)
+
+
+def test_one_row_blocks_match_curve_replica_oracle():
+    # at depth BLOCK_LETTERS / 2 - 1 one pair's walks fill a block
+    depth = BLOCK_LETTERS // 2 - 1
+    depths = (depth, 0, 15, 5)
+    rng = RngSpec(3)
+    got = _curve_rows(3, depths, 5, rng)
+    reached = np.array([curve_replica(rng.stream(k), 3, depth)
+                        for k in range(5)])
+    assert np.array_equal(got, reached[:, None] >= np.array(depths))
+    assert 0 < got[:, 2].sum() < 5
+
+
+def test_superset_check_flags_only_pairs_that_break_it():
+    # pair 1 carries reduced letters 1 (on x) and 2 (on y[0]) for big
+    # letter 4; pair 2 carries two for big letter 5, but only on x, where
+    # no cell compares them with y; the 7s that end pair 3 and start pair
+    # 4 carry different reduced letters, but in different pairs
+    big = np.array([[[1, 2, 3], [3, 2, 2]],
+                    [[4, 1, 2], [4, 3, 3]],
+                    [[5, 5, 2], [2, 2, 1]],
+                    [[6, 6, 6], [7, 7, 7]],
+                    [[7, 7, 7], [8, 8, 8]]])
+    red = np.array([[[1, 2, 1], [1, 2, 2]],
+                    [[1, 1, 2], [2, 1, 1]],
+                    [[1, 2, 2], [2, 2, 1]],
+                    [[1, 1, 1], [1, 1, 1]],
+                    [[2, 2, 2], [1, 1, 1]]])
+    assert scheduling._superset_broken(big, red).tolist() == \
+        [False, True, False, False, False]
+
+
+def _survives(x, y, depth):
+    grid = SimpleNamespace(x=x, y=y, depth=depth)
+    return antidiagonal_survival_depth(grid) == depth
+
+
+def test_coupling_counts_match_per_replica_oracle():
+    rng = RngSpec(61)
+    M, k, depth, samples = 3, 2, 25, 400
+    rep = coupling_check(M, k, depth, samples, rng)
+    red = big = 0
+    for j in range(samples):
+        g = rng.stream(j).generator()
+        x = g.integers(1, k * M + 1, size=depth + 1)
+        y = g.integers(1, k * M + 1, size=depth + 1)
+        big += _survives(x, y, depth)
+        red += _survives(reduce_value(x, M), reduce_value(y, M), depth)
+    assert (rep.reduced_survivals, rep.big_survivals) == (red, big)
+    assert 0 < red < big < samples
