@@ -7,21 +7,29 @@ through open vertices.  The origin itself is declared open.
 
 Survival is swept one antidiagonal at a time on Python-int bitsets, for a
 block of B walk pairs at once.  The rows of the block are interleaved: bit
-u*B + b of the level-d frontier f is cell (u, d - u) of pair b.  X_a has
-bit u*B + b where x_b[u] == a; Yrev_a has bit k*B + b where y_b[D - k] == a,
-y read backwards from D, the deepest level swept.  Yrev_a >> (D - d)*B has
-bit u*B + b where y_b[d - u] == a, so from f = (1 << B) - 1 at level 0,
+u*B + b of the level-d frontier f is cell (u, d - u) of pair b.  Each pair's
+letters are first renamed to their ranks 1, 2, ... among the letters its
+own x and y share (`_shared_ranks`); a letter on only one of its walks
+closes nothing and is dropped.  X_a has bit u*B + b where x_b[u] has rank
+a; Yrev_a has bit k*B + b where y_b[D - k] has rank a, y read backwards
+from D, the deepest level swept.  Yrev_a >> (D - d)*B has bit u*B + b
+where y_b[d - u] has rank a, so from f = (1 << B) - 1 at level 0,
 
     f = (f | f << B) & ~OR_a(X_a & (Yrev_a >> (D - d)*B)),
 
 in linear memory, until f is 0 or level D is reached.  Shifts by whole
 multiples of B never move a bit into another pair's residue, so the pairs
-do not interact; level d touches only the low (d + 1)*B bits, so the
-big-int work is what B sweeps of one pair would do, and the Python work per
-level is paid once per block.  With B = 1 it is the sweep of a single
-pair, bit for bit: `survival_depth` and `directed_survival` run it on one
-grid, and `survival_curve_mc` and `coupling_check` on blocks of replicas,
-reading each pair's liveness out of f only at the depths they report.
+do not interact.  Level d touches only the low (d + 1)*B bits, and a runs
+up to the largest number of letters one pair shares, so each level costs
+what B sweeps of one pair would if every pair shared that many; the
+Python work per level is paid once per block.  Without the renaming, a
+would run over every letter found on some x and some y of the block,
+which for M near B*(D + 1) is thousands of times the letters one pair
+shares.  With B = 1 it is the sweep of a single pair, bit for bit (the
+ranks keep the letters' order): `survival_depth` and `directed_survival`
+run it on one grid, and `survival_curve_mc` and `coupling_check` on
+blocks of replicas, reading each pair's liveness out of f only at the
+depths they report.
 
 Index 0 of each walk is its starting point, so the axis vertices (i, 0) and
 (0, j) compare against Y_0 and X_0 respectively.  The open field is 3-wise
@@ -113,27 +121,57 @@ def validate_path(witness: PathWitness, grid: ScheduleGrid) -> bool:
     return True
 
 
-def _distinct(v: np.ndarray) -> np.ndarray:
-    """The values of v, each once, in increasing order.  `np.unique` takes
-    ten times as long on a block, and imports numpy.ma on its first call
-    in each worker process."""
-    s = np.sort(v, axis=None)
-    return s[np.append(True, s[1:] != s[:-1])]
+def _shared_ranks(xv: np.ndarray, yrev: np.ndarray):
+    """xv and yrev relabelled row by row: each letter becomes its rank 1, 2,
+    ... among the letters shared by that row of xv and that row of yrev,
+    and a letter on only one of them, which closes nothing, becomes 0.
+
+    When a table of (row, letter) is no larger than the walks, as for small
+    M, the ranks are counted in it.  Otherwise each row of the two, side by
+    side, is sorted, and a run of equal letters is shared iff it holds
+    entries of both; this also sorts object arrays of ints past int64.
+    """
+    rows, width = xv.shape
+    top = int(max(xv.max(), yrev.max())) + 1
+    if rows * top <= 2 * xv.size:
+        base = np.arange(rows)[:, None] * top
+        kx = np.asarray(xv, dtype=np.int64) + base
+        ky = np.asarray(yrev, dtype=np.int64) + base
+        on_x = np.zeros(rows * top, dtype=bool)
+        on_x[kx] = True
+        shared = np.zeros(rows * top, dtype=bool)
+        shared[ky] = True
+        shared &= on_x
+        rank = np.cumsum(shared.reshape(rows, top), axis=1,
+                         dtype=np.int32).ravel() * shared
+        return rank[kx], rank[ky]
+    both = np.concatenate((xv, yrev), axis=1)
+    order = np.argsort(both, axis=1)
+    v = np.take_along_axis(both, order, axis=1)
+    start = np.ones(v.shape, dtype=bool)
+    start[:, 1:] = v[:, 1:] != v[:, :-1]
+    starts = np.flatnonzero(start)
+    on_y = (order >= width).ravel()
+    shared = (np.logical_or.reduceat(on_y, starts)
+              & ~np.logical_and.reduceat(on_y, starts))
+    shared = shared[np.cumsum(start) - 1].reshape(v.shape)
+    ranks = np.empty(v.shape, dtype=np.int32)
+    np.put_along_axis(ranks, order, np.cumsum(start & shared, axis=1,
+                                              dtype=np.int32) * shared, axis=1)
+    return ranks[:, :width], ranks[:, width:]
 
 
 def _frontiers(x: np.ndarray, y: np.ndarray, depth: int):
     """Frontiers of the sweep of the module docstring over the walk pairs
     (x[b], y[b]), B = len(x), with D = depth; every walk holds depth + 1
     values or more.  Yields levels 0, 1, ... up to the last non-empty one.
-    Letters missing from every walk of x or of y close nothing and are
-    skipped.
+    One mask pair per shared-letter rank: as many as the most letters
+    shared by one pair.
     """
     rows = len(x)
-    xv = x[:, :depth + 1]
-    yrev = y[:, depth::-1]
-    masks = [(pack_mask((xv == a).T), pack_mask((yrev == a).T))
-             for a in np.intersect1d(_distinct(xv), _distinct(yrev),
-                                     assume_unique=True)]
+    xr, yr = _shared_ranks(x[:, :depth + 1], y[:, depth::-1])
+    masks = [(pack_mask((xr == a).T), pack_mask((yr == a).T))
+             for a in range(1, int(xr.max()) + 1)]
     f = (1 << rows) - 1
     yield f
     for d in range(1, depth + 1):

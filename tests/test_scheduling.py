@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -284,6 +285,57 @@ def test_one_row_blocks_match_curve_replica_oracle():
     assert 0 < got[:, 2].sum() < 5
 
 
+def _reached(x, y, depth):
+    return antidiagonal_survival_depth(SimpleNamespace(x=x, y=y, depth=depth))
+
+
+def _survives(x, y, depth):
+    return _reached(x, y, depth) == depth
+
+
+def test_block_sweep_relabels_each_pairs_own_letters():
+    # each pair draws from its own band of 3 letters, so no two pairs share
+    # a letter; pair 5's y comes from a band its x never meets
+    g = np.random.default_rng(8)
+    depth, rows = 30, 12
+    walks = (g.integers(1, 4, size=(rows, 2, depth + 1))
+             + 1000 * np.arange(rows)[:, None, None])
+    walks[5, 1] += 500
+    depths = (depth, 0, 3, 10)
+    got = scheduling._survival_block(walks, depths)
+    reached = np.array([_reached(x, y, depth) for x, y in walks])
+    assert np.array_equal(got, reached[:, None] >= np.array(depths))
+    assert got[5].all() and not got[:, 0].all()
+
+
+def test_shared_ranks_number_only_each_pairs_shared_letters():
+    # pair 0 shares 5 and 7, pair 1 shares nothing: two masks, not the
+    # seven letters of the block
+    x = np.array([[5, 9, 7, 5], [2, 2, 3, 8]])
+    y = np.array([[7, 5, 1, 1], [4, 4, 4, 4]])
+    xr, yr = scheduling._shared_ranks(x, y)
+    assert xr.tolist() == [[1, 0, 2, 1], [0, 0, 0, 0]]
+    assert yr.tolist() == [[2, 1, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("pool", [range(1, 4), range(1, 41), range(1, 301),
+                                  range(2**70, 2**70 + 8)])
+def test_shared_ranks_match_per_row_oracle(pool):
+    # letters up to 40 fill a table of (row, letter); 1..300 and the
+    # object arrays of ints past int64 are sorted row by row
+    rnd = random.Random(len(pool))
+    x, y = (np.array([[rnd.choice(pool) for _ in range(30)]
+                      for _ in range(40)], dtype=object) for _ in "xy")
+    if pool[-1] < 2**63:
+        x, y = x.astype(np.int64), y.astype(np.int64)
+    xr, yr = scheduling._shared_ranks(x, y)
+    for row_x, row_y, got_x, got_y in zip(x, y, xr, yr):
+        rank = {a: r + 1 for r, a in
+                enumerate(sorted(set(row_x.tolist()) & set(row_y.tolist())))}
+        assert got_x.tolist() == [rank.get(a, 0) for a in row_x.tolist()]
+        assert got_y.tolist() == [rank.get(a, 0) for a in row_y.tolist()]
+
+
 def test_superset_check_flags_only_pairs_that_break_it():
     # pair 1 carries reduced letters 1 (on x) and 2 (on y[0]) for big
     # letter 4; pair 2 carries two for big letter 5, but only on x, where
@@ -301,11 +353,6 @@ def test_superset_check_flags_only_pairs_that_break_it():
                     [[2, 2, 2], [1, 1, 1]]])
     assert scheduling._superset_broken(big, red).tolist() == \
         [False, True, False, False, False]
-
-
-def _survives(x, y, depth):
-    grid = SimpleNamespace(x=x, y=y, depth=depth)
-    return antidiagonal_survival_depth(grid) == depth
 
 
 def test_coupling_counts_match_per_replica_oracle():
