@@ -267,8 +267,10 @@ def _pmf_rows(pmf):
 
 
 def _do_schedule_kwise(args):
-    pmf = sched.kwise_joint(_parse_vertices(args.vertices), args.M,
-                            max_terms=args.max_terms)
+    verts = _parse_vertices(args.vertices)
+    letters = len({i for i, _ in verts}) + len({j for _, j in verts})
+    _check_printable(letters * args.M.bit_length())
+    pmf = sched.kwise_joint(verts, args.M, max_terms=args.max_terms)
     return _pmf_rows(pmf)
 
 

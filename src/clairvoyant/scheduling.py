@@ -33,15 +33,15 @@ depths they report.
 
 Index 0 of each walk is its starting point, so the axis vertices (i, 0) and
 (0, j) compare against Y_0 and X_0 respectively.  The open field is 3-wise
-but not 4-wise independent; `kwise_joint` computes exact joint laws by
-enumeration so that can be checked rather than assumed.
+but not 4-wise independent; `kwise_joint` computes exact joint laws, summed
+over which walk letters are equal rather than over their M**(a+b) values,
+so that can be checked rather than assumed, at any M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -387,13 +387,18 @@ def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
 def kwise_joint(vertices, M: int, max_terms: int = 10_000_000) -> JointPmf:
     """Exact joint law of the open indicators at the given grid vertices.
 
-    Enumerates all value assignments of the distinct walk indices involved,
-    so the cost is M**(a+b) for a distinct X-indices and b distinct
-    Y-indices.  Vertices must have i, j >= 1 (the axis rows involve the
-    declared-open origin and the starting values).
+    The open pattern depends only on which of the a + b walk letters
+    involved are equal.  Labelled in order, each letter reuses an earlier
+    value or takes the next new one, so the law sums over set partitions
+    into k <= M blocks, each realised by M(M-1)...(M-k+1) assignments.
+    `max_terms` bounds their number, at most M**(a+b) and independent of M
+    once M >= a + b, before any is built.  Vertices must have i, j >= 1
+    (the axis rows involve the declared-open origin and the starting values).
     """
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
+    if max_terms < 0:
+        raise ValueError("max_terms must be >= 0")
     verts = tuple((int(i), int(j)) for i, j in vertices)
     if not verts:
         raise ValueError("need at least one vertex")
@@ -401,21 +406,29 @@ def kwise_joint(vertices, M: int, max_terms: int = 10_000_000) -> JointPmf:
         raise ValueError("vertices must have i, j >= 1")
     if len(set(verts)) != len(verts):
         raise ValueError("duplicate vertex")
-    is_ = sorted({i for i, _ in verts})
-    js = sorted({j for _, j in verts})
-    terms = M ** (len(is_) + len(js))
-    if terms > max_terms:
-        raise BudgetError(
-            "joint law needs %d assignments, over the budget of %d"
-            % (terms, max_terms)
-        )
+    xs = {i: n for n, i in enumerate(sorted({i for i, _ in verts}))}
+    ys = {j: len(xs) + n for n, j in enumerate(sorted({j for _, j in verts}))}
+    letters = len(xs) + len(ys)
+    ways = [1]      # ways[k]: patterns of the letters so far with k values
+    for _ in range(letters):
+        ways = [k * w + v for k, (w, v)
+                in enumerate(zip(ways + [0], [0] + ways))][:M + 1]
+        if sum(ways) > max_terms:
+            raise BudgetError(
+                "joint law needs at least %d equality patterns, over the "
+                "budget of %d" % (sum(ways), max_terms))
     counts: dict[tuple[int, ...], int] = {}
-    for xs in product(range(M), repeat=len(is_)):
-        xmap = dict(zip(is_, xs))
-        for ys in product(range(M), repeat=len(js)):
-            ymap = dict(zip(js, ys))
-            o = tuple(int(xmap[i] != ymap[j]) for i, j in verts)
-            counts[o] = counts.get(o, 0) + 1
-    probs = {o: Fraction(c, terms) for o, c in counts.items()}
+    # (restricted-growth values of the first letters, weight)
+    stack = [((), 1)]
+    while stack:
+        vals, w = stack.pop()
+        k = len(set(vals))
+        if len(vals) < letters:
+            stack += [(vals + (v,), w * (M - k if v == k else 1))
+                      for v in range(min(k + 1, M))]
+            continue
+        o = tuple(int(vals[xs[i]] != vals[ys[j]]) for i, j in verts)
+        counts[o] = counts.get(o, 0) + w
+    probs = {o: Fraction(c, M ** letters) for o, c in counts.items()}
     labels = tuple("%d,%d" % v for v in verts)
     return JointPmf(labels=labels, probs=probs)

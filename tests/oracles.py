@@ -278,6 +278,23 @@ def brute_block_reachable(good, depth):
     return True
 
 
+def brute_kwise_joint(vertices, M):
+    """Joint law of the open indicators at grid vertices (i, j >= 1), as
+    {outcome: probability}, over all M**(a+b) values of the a X-letters
+    and b Y-letters involved."""
+    is_ = sorted({i for i, _ in vertices})
+    js = sorted({j for _, j in vertices})
+    terms = M ** (len(is_) + len(js))
+    counts = {}
+    for xs in product(range(M), repeat=len(is_)):
+        xmap = dict(zip(is_, xs))
+        for ys in product(range(M), repeat=len(js)):
+            ymap = dict(zip(js, ys))
+            o = tuple(int(xmap[i] != ymap[j]) for i, j in vertices)
+            counts[o] = counts.get(o, 0) + 1
+    return {o: Fraction(c, terms) for o, c in counts.items()}
+
+
 # One replica of each Monte Carlo model the package draws a block of
 # replicas at a time for, from that replica's own stream: what the package
 # computed per replica before it drew in blocks.

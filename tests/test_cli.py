@@ -149,12 +149,66 @@ def test_kwise_csv_feeds_env_checker(tmp_path):
     rows, _, _ = run_csv(tmp_path, ["env", "kwise", "--pmf", str(out),
                                     "--k", "3"], name="report.csv")
     assert rows[0]["independent"] == "true"
-    _, _, out4 = run_csv(tmp_path, ["schedule", "kwise",
-                                    "--vertices", "1,1;1,2;2,1;2,2",
-                                    "--M", "4"], name="pmf4.csv")
-    rows, _, _ = run_csv(tmp_path, ["env", "kwise", "--pmf", str(out4),
-                                    "--k", "4"], name="report4.csv")
-    assert rows[0]["independent"] == "false"
+    # M = 10^6: 10^24 assignments, 15 equality patterns
+    for M in ("4", "1000000"):
+        _, _, out4 = run_csv(tmp_path, ["schedule", "kwise",
+                                        "--vertices", "1,1;1,2;2,1;2,2",
+                                        "--M", M], name="pmf4.csv")
+        for k, independent in (("3", "true"), ("4", "false")):
+            rows, _, _ = run_csv(tmp_path, ["env", "kwise", "--pmf",
+                                            str(out4), "--k", k],
+                                 name="report4.csv")
+            assert rows[0]["independent"] == independent, (M, k)
+
+
+_RECT = "1,1;1,2;2,1;2,2"
+_WINDOW = "1,1;1,2;1,3;2,1;2,2;2,3;3,1;3,2;3,3"
+
+# schedule kwise payloads as the M**(a+b) enumeration printed them
+_KWISE_BYTES = {
+    (_RECT, 2): b"outcome,numerator,denominator\n0000,1,8\n0011,1,8\n"
+                b"0101,1,8\n0110,1,8\n1001,1,8\n1010,1,8\n1100,1,8\n"
+                b"1111,1,8\n",
+    (_RECT, 4): b"outcome,numerator,denominator\n0000,1,64\n0011,3,64\n"
+                b"0101,3,64\n0110,3,64\n0111,3,32\n1001,3,64\n"
+                b"1010,3,64\n1011,3,32\n1100,3,64\n1101,3,32\n"
+                b"1110,3,32\n1111,21,64\n",
+    (_RECT, 6): b"outcome,numerator,denominator\n0000,1,216\n0011,5,216\n"
+                b"0101,5,216\n0110,5,216\n0111,5,54\n1001,5,216\n"
+                b"1010,5,216\n1011,5,54\n1100,5,216\n1101,5,54\n"
+                b"1110,5,54\n1111,35,72\n",
+}
+# the 3x3 window at M = 3: 110 rows, each over 3^5 = 243
+_KWISE_WINDOW_M3_SHA256 = ("d9c2a40d42fc96ec0586e22b056079908a65c4cbb60b06c5"
+                           "0bf24bcb40034562")
+
+
+def test_kwise_payload_bytes_pinned(tmp_path):
+    for (verts, M), want in _KWISE_BYTES.items():
+        _, _, out = run_csv(tmp_path, ["schedule", "kwise", "--vertices",
+                                       verts, "--M", str(M)])
+        assert out.read_bytes() == want, M
+    _, _, out = run_csv(tmp_path, ["schedule", "kwise", "--vertices",
+                                   _WINDOW, "--M", "3"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        _KWISE_WINDOW_M3_SHA256
+
+
+def test_kwise_refuses_unprintable_denominator(tmp_path, capsys):
+    # M = 10^3000 has 9966 bits, so M^2 may need 2^19932 (6001 digits)
+    code = cli.main(["schedule", "kwise", "--vertices", "1,1",
+                     "--M", str(10**3000)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "refused" in err and "2^19932 (6001 digits)" in err
+    assert "Traceback" not in err
+    # M = 10^2000: 2^13288 has 4001 digits, printed in full
+    rows, _, _ = run_csv(tmp_path, ["schedule", "kwise", "--vertices", "1,1",
+                                    "--M", str(10**2000)])
+    assert rows == [{"outcome": "0", "numerator": "1",
+                     "denominator": str(10**2000)},
+                    {"outcome": "1", "numerator": str(10**2000 - 1),
+                     "denominator": str(10**2000)}]
 
 
 def test_compat_commands(tmp_path):
@@ -298,6 +352,8 @@ _FORCED = {
 _SAYS = {
     "schedule kwise --vertices 1,1 --M 1": "alphabet size M must be >= 2",
     "schedule kwise --vertices 1,1 --M 0": "alphabet size M must be >= 2",
+    "schedule kwise --vertices 1,1 --M 3 --max-terms -1":
+        "max_terms must be >= 0",
     "lattice embed2d --R 2 --depth 2 --word-length -1": "n must be >= 0",
     "schedule undirected --M 2 --box -1 --replicas 5": "box must be >= 0",
     "schedule curve --M 1 --depths 5 --replicas 3":
@@ -343,6 +399,7 @@ _SAYS = {
     # the rows below are refused in the words of the flag given (see _SAYS)
     "schedule kwise --vertices 1,1 --M 1",
     "schedule kwise --vertices 1,1 --M 0",
+    "schedule kwise --vertices 1,1 --M 3 --max-terms -1",
     "lattice embed2d --R 2 --depth 2 --word-length -1",
     "schedule undirected --M 2 --box -1 --replicas 5",
     "schedule curve --M 1 --depths 5 --replicas 3",

@@ -10,6 +10,7 @@ from clairvoyant import scheduling
 from clairvoyant.errors import BudgetError, PropertyViolation
 from clairvoyant.rng import RngSpec
 from clairvoyant.runner import BLOCK_LETTERS, run_chunked
+from clairvoyant.environment import kwise_test
 from clairvoyant.scheduling import (
     PathWitness,
     ScheduleGrid,
@@ -28,6 +29,7 @@ from clairvoyant.scheduling import (
 from oracles import (
     antidiagonal_survival_depth,
     brute_escape,
+    brute_kwise_joint,
     brute_path_survives,
     curve_replica,
 )
@@ -212,6 +214,60 @@ def test_kwise_rejects_bad_vertices():
     for M in (1, 0):
         with pytest.raises(ValueError, match="M must be >= 2"):
             kwise_joint([(1, 1)], M)
+
+
+_RECT = [(1, 1), (1, 2), (2, 1), (2, 2)]
+_WINDOW = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("verts", [
+    [(1, 1)], [(1, 1), (1, 2)], _RECT, [(1, 1), (1, 2), (1, 3), (2, 1),
+                                        (2, 2), (2, 3)], _WINDOW,
+    [(1, 1), (2, 2)], [(1, 1), (2, 2), (3, 3)],
+    [(2, 1), (2, 2), (2, 4), (2, 5), (2, 7)],
+    [(1, 3), (2, 3), (4, 3), (5, 3), (6, 3)],
+    [(1, 1), (1, 2), (2, 2), (3, 2)],
+])
+def test_kwise_matches_enumeration(verts):
+    # rectangles, diagonals, a shared row, a shared column and a mix, each
+    # with a + b <= 6 walk letters
+    for M in range(2, 7):
+        pmf = kwise_joint(verts, M)
+        assert pmf.labels == tuple("%d,%d" % v for v in verts)
+        assert pmf.probs == brute_kwise_joint(verts, M), M
+
+
+def test_kwise_rectangle_closed_form():
+    # all four vertices of a 2x2 rectangle open: x1 != y1, x1 != y2,
+    # x2 != y1, x2 != y2, summed over y1 = y2 and y1 != y2
+    for M in (4, 10, 10**6, 2**64 + 1):
+        pmf = kwise_joint(_RECT, M)
+        assert pmf.probs[(1, 1, 1, 1)] == Fraction(
+            (M - 1) * (M * M - 3 * M + 3), M**3), M
+    assert kwise_joint(_RECT, 4).probs[(1, 1, 1, 1)] == Fraction(21, 64)
+
+
+def test_kwise_at_large_M():
+    pmf = kwise_joint(_RECT, 10**6)
+    assert kwise_test(pmf, 3).independent
+    assert not kwise_test(pmf, 4).independent
+    # M**6 = 10**36 assignments; 203 equality patterns
+    window = kwise_joint(_WINDOW, 10**6)
+    assert kwise_test(window, 3).independent
+
+
+def test_kwise_budget_counts_equality_patterns():
+    # 4 letters fall into 15 set partitions once M >= 4, and into 8 with
+    # at most 2 blocks at M = 2
+    for M in (4, 10**6):
+        assert kwise_joint(_RECT, M, max_terms=15).probs
+        with pytest.raises(BudgetError, match="equality patterns"):
+            kwise_joint(_RECT, M, max_terms=14)
+    assert kwise_joint(_RECT, 2, max_terms=8).probs
+    with pytest.raises(BudgetError):
+        kwise_joint(_RECT, 2, max_terms=7)
+    with pytest.raises(ValueError, match="max_terms must be >= 0"):
+        kwise_joint(_RECT, 4, max_terms=-1)
 
 
 def test_undirected_escape_examples():
