@@ -9,7 +9,10 @@ two-dimensionally with L1 gaps at most 5R.
 Visible words are read along self-avoiding walks on a site configuration
 over one of three planar lattices (square, triangular, close-packed).  The
 search is exact DFS; a node-expansion budget turns long searches into an
-explicit third outcome instead of a silent wrong answer.  The constant word
+explicit third outcome instead of a silent wrong answer.  It tries each
+neighbour with one byte lookup in the mask of the letter the next step
+needs, a mask that also drops the cells on the path, so the letter test
+and the self-avoidance test cost one read.  The constant word
 is pruned first: it needs a letter-cluster of n cells next to the origin.
 `flood`, on a box `pack_box` packs into one int, finds that cluster, and
 also serves the environment crossing and the undirected scheduling escape.
@@ -17,6 +20,7 @@ also serves the environment crossing and the undirected scheduling escape.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -332,33 +336,45 @@ def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
     if len(set(letters)) == 1 and _constant_prune(cells, kind, origin,
                                                   letters[0], n):
         return Visibility.ABSENT
-    adj = _adjacency(cells.shape, kind)
-    flat = cells.astype(np.uint8, copy=False).tobytes()
-    start = origin[0] * wd + origin[1]
-    visited = bytearray(h * wd)
-    visited[start] = 1
-    path = [start]
-    untried = [iter(adj[start])]  # neighbors each path cell has yet to try
-    expansions = 1
-    if budget is not None and expansions > budget:
+    cap = sys.maxsize if budget is None else budget
+    if cap < 1:  # the origin is the first expansion
         return Visibility.EXHAUSTED
-    while untried:
-        k = len(path) - 1  # letters matched so far
-        for u in untried[-1]:
-            if not visited[u] and flat[u] == letters[k]:
-                if k + 1 == n:
+    adj = _adjacency(cells.shape, kind)
+    start = origin[0] * wd + origin[1]
+    # free[a][u] == 1: cell u reads letter a and is off the path
+    u8 = cells.astype(np.uint8, copy=False)
+    free = [bytearray((u8 == a).tobytes()) for a in (0, 1)]
+    free[0][start] = free[1][start] = 0
+    steps = [free[a] for a in letters]  # step k lands on a cell of steps[k]
+    path = [start] * n  # path[k]: the cell reached after k steps
+    untried = [None] * n  # untried[k]: neighbors path[k] has yet to try
+    k = 0  # letters matched so far
+    last = n - 1
+    cur = steps[0]
+    it = iter(adj[start])
+    expansions = 1
+    while True:
+        for u in it:
+            if cur[u]:
+                if k == last:
                     return Visibility.FOUND
                 expansions += 1
-                if budget is not None and expansions > budget:
+                if expansions > cap:
                     return Visibility.EXHAUSTED
-                visited[u] = 1
-                path.append(u)
-                untried.append(iter(adj[u]))
+                cur[u] = 0
+                untried[k] = it
+                k += 1
+                path[k] = u
+                cur = steps[k]
+                it = iter(adj[u])
                 break
         else:
-            visited[path.pop()] = 0
-            untried.pop()
-    return Visibility.ABSENT
+            if not k:
+                return Visibility.ABSENT
+            k -= 1
+            cur = steps[k]
+            cur[path[k + 1]] = 1
+            it = untried[k]
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ package can work on machine words; index ``i`` of the word is bit ``i`` of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .rng import RngSpec
+
+
+_DIGITS = {0: "0", 1: "1"}
+_LETTER_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -31,21 +36,23 @@ class Word:
 
     @classmethod
     def from_letters(cls, letters) -> "Word":
-        bits = 0
-        n = 0
-        for a in letters:
-            if a not in (0, 1):
+        if isinstance(letters, np.ndarray):
+            if letters.ndim != 1 or not np.isin(letters, (0, 1)).all():
                 raise ValueError("letters must be 0 or 1")
-            # int() keeps numpy scalars from overflowing the shift
-            bits |= int(a) << n
-            n += 1
-        return cls(bits, n)
+            return cls(pack_mask(letters != 0), letters.size)
+        try:
+            # 0, 1, bools and numpy ints hash and compare equal to 0 or 1
+            digits = [_DIGITS[a] for a in letters]
+        except (KeyError, TypeError):
+            raise ValueError("letters must be 0 or 1") from None
+        return cls.from_string("".join(digits))
 
     @classmethod
     def from_string(cls, s: str) -> "Word":
-        if any(ch not in "01" for ch in s):
+        if not set(s) <= {"0", "1"}:
             raise ValueError("word literals use characters 0 and 1 only")
-        return cls.from_letters(int(ch) for ch in s)
+        # int(text, 2) reads the highest bit first; letter 0 is bit 0
+        return cls(int(s[::-1], 2) if s else 0, len(s))
 
     def __len__(self) -> int:
         return self.n
@@ -56,16 +63,21 @@ class Word:
         return (self.bits >> i) & 1
 
     def __iter__(self) -> Iterator[int]:
-        return ((self.bits >> i) & 1 for i in range(self.n))
+        return iter(self.letters())
 
     def __str__(self) -> str:
-        return "".join(str(a) for a in self)
+        return format(self.bits, "0%db" % self.n)[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return "Word(%r)" % str(self)
 
     def letters(self) -> tuple[int, ...]:
-        return tuple(self)
+        return self._letters
+
+    @cached_property
+    def _letters(self) -> tuple[int, ...]:
+        # kept on the instance: a scan reads the same word in every replica
+        return tuple(str(self).encode("ascii").translate(_LETTER_BYTES))
 
     def complement(self) -> "Word":
         mask = (1 << self.n) - 1
@@ -95,7 +107,7 @@ def alternating_word(n: int) -> Word:
     """0101... of length n (starts with 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Word.from_letters((i & 1) for i in range(n))
+    return Word.from_string(("01" * (n // 2 + 1))[:n])
 
 
 def constant_word(n: int, letter: int = 1) -> Word:

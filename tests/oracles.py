@@ -211,6 +211,59 @@ def brute_visible_words(cells, offsets, origin, max_len):
     return words
 
 
+def budgeted_visible_word(cells, offsets, origin, letters, budget=None):
+    """(outcome, expansions) of the budgeted DFS for a word, node for node.
+
+    Outcomes are the `Visibility` values "found", "absent" and
+    "budget-exhausted"; expansions counts the origin and each cell pushed
+    onto the path, and the search gives up once it would pass budget.  A
+    constant word first answers "absent" (0 expansions) when no cluster of
+    its letter touching the origin holds n cells.  Neighbors are tried in
+    the order of offsets, so this is the reference for the expansion count
+    as well as the outcome.
+    """
+    h, wd = cells.shape
+    n = len(letters)
+    if n == 0:
+        return "found", 0
+    if len(set(letters)) == 1 and not any(
+            len(brute_cluster(cells == letters[0], offsets, (a, b))) >= n
+            for a, b in ((origin[0] + di, origin[1] + dj)
+                         for di, dj in offsets)
+            if 0 <= a < h and 0 <= b < wd and cells[a, b] == letters[0]):
+        return "absent", 0
+    adj = [tuple(a * wd + b for a, b in ((i + di, j + dj)
+                                         for di, dj in offsets)
+                 if 0 <= a < h and 0 <= b < wd)
+           for i in range(h) for j in range(wd)]
+    flat = cells.astype(np.uint8, copy=False).tobytes()
+    start = origin[0] * wd + origin[1]
+    visited = bytearray(h * wd)
+    visited[start] = 1
+    path = [start]
+    untried = [iter(adj[start])]  # neighbors each path cell has yet to try
+    expansions = 1
+    if budget is not None and expansions > budget:
+        return "budget-exhausted", expansions
+    while untried:
+        k = len(path) - 1  # letters matched so far
+        for u in untried[-1]:
+            if not visited[u] and flat[u] == letters[k]:
+                if k + 1 == n:
+                    return "found", expansions
+                expansions += 1
+                if budget is not None and expansions > budget:
+                    return "budget-exhausted", expansions
+                visited[u] = 1
+                path.append(u)
+                untried.append(iter(adj[u]))
+                break
+        else:
+            visited[path.pop()] = 0
+            untried.pop()
+    return "absent", expansions
+
+
 def brute_crossing(config):
     """Left-to-right open crossing by breadth-first search, 4-connected."""
     n, m = config.shape

@@ -360,6 +360,7 @@ _SAYS = {
         "alphabet size M must be >= 2",
     "schedule curve --M 0 --depths 5 --replicas 3":
         "alphabet size M must be >= 2",
+    "lattice abscan --p 1/2 --box 3000000 --replicas 1": "out of memory",
 }
 
 
@@ -396,6 +397,9 @@ _SAYS = {
     "lattice embed2d --R 2 --depth 3 --word 01 --workers 2",
     # running out of memory, forced by a patched handler (see _FORCED)
     "schedule undirected --M 2 --box 3 --replicas 1",
+    # a 6000001 x 6000001 field: refused when it is drawn, with the words
+    # of length 3000000 built in well under a second
+    "lattice abscan --p 1/2 --box 3000000 --replicas 1",
     # the rows below are refused in the words of the flag given (see _SAYS)
     "schedule kwise --vertices 1,1 --M 1",
     "schedule kwise --vertices 1,1 --M 0",

@@ -32,6 +32,7 @@ from oracles import (
     brute_block_reachable,
     brute_cluster,
     brute_visible_words,
+    budgeted_visible_word,
     good_block_replica,
 )
 
@@ -280,6 +281,43 @@ def test_constant_word_prune_agrees():
                     expect = Visibility.FOUND if w.letters() in seen \
                         else Visibility.ABSENT
                     assert visible_word(cells, kind, origin, w) is expect
+
+
+def test_visible_word_matches_budgeted_reference():
+    # the reference needs `need` expansions, so any budget below that gives
+    # up and any other budget gets its outcome; budgets next to need make
+    # an off-by-one in the EXHAUSTED test show
+    rng = RngSpec(270).generator()
+    near_misses = 0
+    for trial in range(40):
+        h, w = (int(v) for v in rng.integers(4, 9, size=2))
+        cells = (rng.random((h, w)) < rng.uniform(0.3, 0.7)).astype(np.uint8)
+        origins = {(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
+                   (0, w // 2), (h // 2, 0), (h - 1, w // 2), (h // 2, w - 1),
+                   (h // 2, w // 2)}
+        n = int(rng.integers(1, 11))
+        words = (constant_word(n, letter=0), constant_word(n, letter=1),
+                 alternating_word(n), Word.from_letters(rng.random(n) < 0.5))
+        for kind in LatticeKind:
+            for origin in origins:
+                for word in words:
+                    ref, need = budgeted_visible_word(
+                        cells, kind.offsets, origin, word.letters())
+                    budgets = {0, 1, 2, 7, 50, 5000, None}
+                    budgets.update(range(max(need - 2, 0), need + 3))
+                    for budget in budgets:
+                        want = ref if budget is None or budget >= need \
+                            else "budget-exhausted"
+                        got = visible_word(cells, kind, origin, word, budget)
+                        assert got.value == want, (trial, kind, origin,
+                                                   word, budget)
+                    near_misses += need > 0
+                    if need > 0:
+                        # the reference's own budget test stops there too
+                        assert budgeted_visible_word(
+                            cells, kind.offsets, origin, word.letters(),
+                            need - 1) == ("budget-exhausted", need)
+    assert near_misses > 3000
 
 
 def test_ab_scan_deterministic():

@@ -342,3 +342,12 @@ def test_replica_kernels_pinned(workers):
             mu, 6, 100, RngSpec(19), workers=workers)),
     }
     assert got == PINNED
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ab_scan_pinned_at_benchmark_shape(workers):
+    # box 60 and budget 5000, as the benchmark's abscan runs it: about a
+    # fifth of the constant searches back-track until the budget runs out
+    ab = cv.ab_scan(0.5, 60, 80, RngSpec(1), budget=5000, workers=workers)
+    assert (_successes(ab.alternating), _successes(ab.constant),
+            ab.alternating_exhausted, ab.constant_exhausted) == (79, 49, 0, 18)

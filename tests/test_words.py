@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,38 @@ def test_word_letter_round_trip(ls):
     assert list(w) == ls
     assert len(w) == len(ls)
     assert Word.from_string(str(w)) == w
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 10**5, 10**6])
+def test_long_word_round_trips(n):
+    # building and reading are linear in n; a quadratic pass would take
+    # minutes at 10**6
+    mask = np.random.default_rng(n).random(n) < 0.5
+    want = tuple(int(a) for a in mask)
+    text = "".join(map(str, want))
+    for w in (Word.from_letters(mask), Word.from_letters(list(want)),
+              Word.from_letters(mask.astype(np.int64)),
+              Word.from_string(text)):
+        assert w.n == n
+        assert w.letters() == want
+        assert str(w) == text
+    assert Word.from_letters(mask).bits == int(text[::-1] or "0", 2)
+    assert tuple(alternating_word(n)) == tuple(i & 1 for i in range(n))
+
+
+def test_from_letters_accepts_what_equals_0_or_1():
+    w = Word.from_letters([True, np.int64(1), np.uint8(0), False, 1, 0, 1.0])
+    assert str(w) == "1100101"
+    assert Word.from_letters(np.array([1.0, 0.0, 1.0])) == Word.from_string("101")
+    for bad in (2, -1, 1.5, "1", None, [1]):
+        with pytest.raises(ValueError):
+            Word.from_letters([0, bad])
+    for bad in (np.array([0, 2]), np.array([0.5]), np.array([[0, 1]])):
+        with pytest.raises(ValueError):
+            Word.from_letters(bad)
+    for bad in ("0 1", "+1", "1_0", "2"):
+        with pytest.raises(ValueError):
+            Word.from_string(bad)
 
 
 def test_word_validation():
