@@ -9,7 +9,6 @@ package can work on machine words; index ``i`` of the word is bit ``i`` of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -36,10 +35,6 @@ class Word:
 
     @classmethod
     def from_letters(cls, letters) -> "Word":
-        if isinstance(letters, np.ndarray):
-            if letters.ndim != 1 or not np.isin(letters, (0, 1)).all():
-                raise ValueError("letters must be 0 or 1")
-            return cls(pack_mask(letters != 0), letters.size)
         try:
             # 0, 1, bools and numpy ints hash and compare equal to 0 or 1
             digits = [_DIGITS[a] for a in letters]
@@ -72,11 +67,6 @@ class Word:
         return "Word(%r)" % str(self)
 
     def letters(self) -> tuple[int, ...]:
-        return self._letters
-
-    @cached_property
-    def _letters(self) -> tuple[int, ...]:
-        # kept on the instance: a scan reads the same word in every replica
         return tuple(str(self).encode("ascii").translate(_LETTER_BYTES))
 
     def complement(self) -> "Word":

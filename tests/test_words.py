@@ -34,7 +34,7 @@ def test_long_word_round_trips(n):
         assert w.n == n
         assert w.letters() == want
         assert str(w) == text
-    assert Word.from_letters(mask).bits == int(text[::-1] or "0", 2)
+        assert w.bits == int(text[::-1] or "0", 2)
     assert tuple(alternating_word(n)) == tuple(i & 1 for i in range(n))
 
 
