@@ -36,7 +36,7 @@ from . import lattice as lat
 from . import scheduling as sched
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import chunk_bounds
+from .runner import workers_used
 from .stats import Estimate
 from .words import Word, alternating_word, bernoulli_word, constant_word
 
@@ -582,7 +582,7 @@ def _env(args) -> dict:
     """Where the run ran: versions, CPUs, and the worker processes used."""
     affinity = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else None)
-    workers = (len(chunk_bounds(args.replicas, args.workers))
+    workers = (workers_used(args.replicas, args.workers)
                if hasattr(args, "workers") else 1)
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],

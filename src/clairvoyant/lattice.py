@@ -285,6 +285,7 @@ def _adjacency(shape: tuple[int, int],
                kind: LatticeKind) -> tuple[tuple[int, ...], ...]:
     h, w = shape
     offs = kind.offsets
+    ids = list(range(h * w))  # one int object per cell, shared by its tuples
     adj = []
     for i in range(h):
         for j in range(w):
@@ -292,7 +293,7 @@ def _adjacency(shape: tuple[int, int],
             for di, dj in offs:
                 a, b = i + di, j + dj
                 if 0 <= a < h and 0 <= b < w:
-                    nbrs.append(a * w + b)
+                    nbrs.append(ids[a * w + b])
             adj.append(tuple(nbrs))
     return tuple(adj)
 

@@ -28,16 +28,26 @@ def run_csv(tmp_path, argv, name="out.csv"):
     return rows, manifest, out
 
 
-def test_startup_imports_no_scipy():
-    # scipy.ndimage alone took about half of every CLI run's start-up
+def _startup_modules(*roots):
+    """Modules under `roots` loaded by importing the CLI and its parser."""
     code = ("import sys, clairvoyant, clairvoyant.cli\n"
             "clairvoyant.cli.build_parser()\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in %r))"
+            % (roots,))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_startup_imports_no_scipy():
+    # scipy.ndimage alone took about half of every CLI run's start-up
+    assert _startup_modules("scipy") == "[]"
+
+
+def test_startup_imports_no_process_pool():
+    # concurrent.futures.process took 16-22 ms of every CLI start-up
+    assert _startup_modules("concurrent", "multiprocessing") == "[]"
 
 
 def test_readme_cli_block_lists_every_leaf():
@@ -83,6 +93,17 @@ def test_manifest_env(tmp_path):
     assert env["workers_used"] == 2          # two replicas, not three chunks
     _, manifest, _ = run_csv(tmp_path, ["embed", "roots", "--M", "3"])
     assert manifest["env"]["workers_used"] == 1
+
+
+def test_manifest_without_fork_reports_one_worker(tmp_path, monkeypatch):
+    argv = ["schedule", "curve", "--M", "3", "--depths", "4,8",
+            "--replicas", "30", "--seed", "2", "--workers", "3"]
+    _, forked, forked_out = run_csv(tmp_path, argv, "forked.csv")
+    monkeypatch.delattr(os, "fork")
+    _, alone, alone_out = run_csv(tmp_path, argv, "alone.csv")
+    assert alone_out.read_bytes() == forked_out.read_bytes()
+    assert forked["env"]["workers_used"] == 3
+    assert alone["env"]["workers_used"] == 1
 
 
 def test_scan_header_and_values(tmp_path):

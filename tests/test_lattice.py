@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from clairvoyant import lattice
 from clairvoyant.lattice import (
     DIRECTED_SITE_THRESHOLD,
     Embedding2DWitness,
@@ -191,6 +192,22 @@ def test_lattice_kinds():
     assert len(LatticeKind.SQUARE.offsets) == 4
     assert len(LatticeKind.TRIANGULAR.offsets) == 6
     assert len(LatticeKind.CLOSE_PACKED.offsets) == 8
+
+
+def test_adjacency_shares_one_int_per_cell():
+    h, w = 30, 40
+    for kind in LatticeKind:
+        adj = lattice._adjacency((h, w), kind)
+        assert len(adj) == h * w
+        u = 20 * w + 25                        # above the small-int cache
+        named = [nbrs[nbrs.index(u)] for nbrs in adj if u in nbrs]
+        assert len(named) == len(kind.offsets)
+        assert all(x is named[0] for x in named)
+        for v, nbrs in enumerate(adj):
+            i, j = divmod(v, w)
+            assert nbrs == tuple((i + a) * w + j + b
+                                 for a, b in kind.offsets
+                                 if 0 <= i + a < h and 0 <= j + b < w)
 
 
 def test_visible_word_tiny_examples():

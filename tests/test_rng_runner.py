@@ -1,6 +1,9 @@
+import os
 import pickle
+import signal
 import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -8,11 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
-from clairvoyant import scheduling
+from clairvoyant import cli, compatibility, scheduling
+from clairvoyant.errors import BudgetError, PropertyViolation
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
 from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, PerReplica,
-                                chunk_bounds, run_chunked)
+                                chunk_bounds, run_chunked, workers_used)
 from clairvoyant.stats import Estimate
 
 
@@ -235,7 +239,9 @@ def test_per_block_of_generator_draws_row_k_is_stream_k():
 
 
 def test_chunk_functions_survive_pickling():
-    # process pools that start workers by spawn or forkserver pickle them
+    # chunk functions no longer cross a process boundary, since forked
+    # children inherit them; the rows and exceptions they give back do.
+    # The chunk functions themselves still pickle, kernels and state alike
     probs = np.linspace(0.0, 1.0, 5000)
     for fn in (_bernoulli_block(8, probs), _per_replica_block(4, 3000),
                PerReplica(_uniforms, RngSpec(8), streams=2),
@@ -293,6 +299,139 @@ def test_run_chunked_order_independent_of_workers():
     for workers in (1, 2, 5, 8):
         got = run_chunked(_identity_chunk, 137, workers)
         assert (got == want).all()
+    _no_child_left()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_in_child(lo, hi, caller, exc):
+    if os.getpid() != caller:
+        raise exc("chunk %d..%d" % (lo, hi))
+    return np.arange(lo, hi)
+
+
+def _raise_by_chunk(lo, hi):
+    if lo > 0:
+        raise (ValueError if lo < 20 else PropertyViolation)("from %d" % lo)
+    return np.arange(lo, hi)
+
+
+def _killed_in_child(lo, hi, caller):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return np.arange(lo, hi)
+
+
+def _slow_unless_first(lo, hi):
+    if lo == 0:
+        raise ValueError("chunk 0")
+    time.sleep(60)
+    return np.arange(lo, hi)
+
+
+class _TwoArgError(Exception):
+    def __init__(self, what, where):
+        super().__init__("%s at %s" % (what, where))
+
+
+def _unpicklable_in_child(lo, hi, caller, raises):
+    if os.getpid() != caller:
+        if raises:
+            raise _TwoArgError("bad", lo)   # pickles, does not unpickle
+        return threading.Lock()
+    return np.arange(lo, hi)
+
+
+@pytest.mark.parametrize("exc", [ValueError, BudgetError, MemoryError,
+                                 PropertyViolation, ZeroDivisionError])
+def test_child_exception_reaches_caller_with_its_type(exc):
+    fn = partial(_raise_in_child, caller=os.getpid(), exc=exc)
+    with pytest.raises(exc, match="chunk 20..40"):
+        run_chunked(fn, 40, 2)
+    _no_child_left()
+
+
+def test_first_failing_chunk_is_raised():
+    with pytest.raises(ValueError, match="from 10"):
+        run_chunked(_raise_by_chunk, 40, 4)
+    _no_child_left()
+
+
+def test_child_killed_by_signal_raises_child_process_error():
+    fn = partial(_killed_in_child, caller=os.getpid())
+    with pytest.raises(ChildProcessError, match=r"chunk 1 \(replicas "
+                       r"20..39\) was killed by SIGKILL without sending"):
+        run_chunked(fn, 60, 3)
+    _no_child_left()
+
+
+def test_children_killed_when_caller_chunk_raises():
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="chunk 0"):
+        run_chunked(_slow_unless_first, 30, 3)
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_result_that_does_not_pickle_raises(raises):
+    fn = partial(_unpicklable_in_child, caller=os.getpid(), raises=raises)
+    with pytest.raises(TypeError, match="replicas 5..9 gave what does not"):
+        run_chunked(fn, 10, 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc, code", [(ValueError, 2), (BudgetError, 2),
+                                       (MemoryError, 2),
+                                       (PropertyViolation, 1)])
+def test_cli_exit_code_of_child_failure_matches_one_worker(
+        monkeypatch, capsys, exc, code):
+    caller = os.getpid()
+
+    def kernel(*gens, pid, **params):
+        if os.getpid() != pid:
+            raise exc("replica failed")
+        return 0
+
+    argv = ["compat", "mc", "--p", "1/2", "--n", "5", "--replicas", "20",
+            "--seed", "1", "--workers"]
+    monkeypatch.setattr(compatibility, "_horizon_replica",
+                        partial(kernel, pid=None))     # fails everywhere
+    assert cli.main(argv + ["1"]) == code
+    monkeypatch.setattr(compatibility, "_horizon_replica",
+                        partial(kernel, pid=caller))   # fails in children
+    assert cli.main(argv + ["2"]) == code
+    assert "replica failed" in capsys.readouterr().err
+    _no_child_left()
+
+
+def test_cli_exit_code_of_killed_child(monkeypatch, capsys):
+    caller = os.getpid()
+
+    def kernel(*gens, **params):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 0
+
+    monkeypatch.setattr(compatibility, "_horizon_replica", kernel)
+    assert cli.main(["compat", "mc", "--p", "1/2", "--n", "5", "--replicas",
+                     "20", "--seed", "1", "--workers", "2"]) == 2
+    assert "SIGKILL" in capsys.readouterr().err
+    _no_child_left()
+
+
+def test_without_fork_every_replica_runs_in_caller(monkeypatch):
+    fn = PerReplica(_uniforms, RngSpec(8), streams=2)
+    want = run_chunked(fn, 40, 3)
+    assert workers_used(40, 3) == 3 and workers_used(2, 3) == 2
+    monkeypatch.delattr(os, "fork")
+    assert workers_used(40, 3) == 1
+    assert np.array_equal(run_chunked(fn, 40, 3), want)
+    with pytest.raises(ValueError):
+        workers_used(0, 3)
 
 
 # Integer outcomes of every Monte Carlo entry point at small sizes, recorded
