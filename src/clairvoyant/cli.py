@@ -69,6 +69,21 @@ def _word_arg(text: str) -> Word:
     return Word.from_string(text)
 
 
+def _seed(text: str) -> int:
+    """--seed: one word of the Philox key, so 0 <= seed < 2^64.  RngSpec
+    reduces a seed mod 2^64, which would give two recorded seeds the same
+    streams."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            "must be in [0, 2^64), got %s" % text)
+    return seed
+
+
 def _rng(args) -> RngSpec:
     return RngSpec(args.seed)
 
@@ -451,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed or replicas:
-            p.add_argument("--seed", type=int, default=0, help="master seed")
+            p.add_argument("--seed", type=_seed, default=0,
+                           help="master seed, 0 <= seed < 2^64")
         if replicas:
             p.add_argument("--replicas", type=int, default=10000)
             p.add_argument("--workers", type=int, default=1)

@@ -48,9 +48,11 @@ from.  A model builds its chunk function from one of two kinds of kernel:
   function, returns one row per replica lo <= k < hi from replica k's own
   streams; the kernel returns one result per row.  There are two:
   ``functools.partial(rng.bernoulli_rows, probs=probs)`` draws Bernoulli
-  letters with per-letter densities ``probs`` straight into the block, and
-  ``PerReplica(sampler, rng, **params)`` stacks what a one-replica sampler
-  draws from each replica's generators.
+  letters with per-letter densities ``probs`` straight into the block,
+  rows of at most ``rng.BATCHED_LETTERS`` letters from one numpy Philox
+  pass over the whole block and longer rows from one Philox rewound per
+  replica, and ``PerReplica(sampler, rng, **params)`` stacks what a
+  one-replica sampler draws from each replica's generators.
 """
 
 from __future__ import annotations

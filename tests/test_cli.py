@@ -382,6 +382,11 @@ _SAYS = {
     "schedule curve --M 0 --depths 5 --replicas 3":
         "alphabet size M must be >= 2",
     "lattice abscan --p 1/2 --box 3000000 --replicas 1": "out of memory",
+    "embed mc --target alternating --M 3 --n 8 --replicas 20 --seed -1":
+        "argument --seed: must be in [0, 2^64), got -1",
+    "embed mc --target alternating --M 3 --n 8 --replicas 20 "
+    "--seed 18446744073709551616":
+        "argument --seed: must be in [0, 2^64), got 18446744073709551616",
 }
 
 
@@ -429,6 +434,11 @@ _SAYS = {
     "schedule undirected --M 2 --box -1 --replicas 5",
     "schedule curve --M 1 --depths 5 --replicas 3",
     "schedule curve --M 0 --depths 5 --replicas 3",
+    # a seed outside [0, 2^64) would alias one inside: RngSpec reduces the
+    # key mod 2^64, so -1 gave the streams of 2^64 - 1 and 2^64 those of 0
+    "embed mc --target alternating --M 3 --n 8 --replicas 20 --seed -1",
+    "embed mc --target alternating --M 3 --n 8 --replicas 20 "
+    "--seed 18446744073709551616",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:

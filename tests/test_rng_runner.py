@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
-from clairvoyant import cli, compatibility, scheduling
+from clairvoyant import cli, compatibility, rng, scheduling
 from clairvoyant.errors import BudgetError, PropertyViolation
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
@@ -144,8 +144,69 @@ def test_bernoulli_rows_equal_per_stream_draws(seed):
         assert (row == (_fresh(seed, 3 + i).random((3, 2)) < probs)).all()
     assert RngSpec(seed).bernoulli_rows(4, 4, probs).shape == (0, 3, 2)
     assert RngSpec(seed).bernoulli_rows(0, 3, np.ones(0)).shape == (3, 0)
+    odd = np.array([np.nan, -0.5, 1.5, np.inf, -np.inf, 5e-324])
+    for i, row in enumerate(RngSpec(seed).bernoulli_rows(0, 20, odd)):
+        assert (row == (_fresh(seed, i).random(6) < odd)).all()
     with pytest.raises(ValueError):
         RngSpec(seed).bernoulli_rows(-1, 2, probs)
+
+
+def _edge_probs(seed, k, letters):
+    # 0, 1, stream k's own uniforms and the next double above them, in turn:
+    # row k is false, true, false (u < u) and true (u < nextafter(u))
+    u = _fresh(seed, k).random(letters)
+    probs = u.copy()
+    probs[0::4] = 0.0
+    probs[1::4] = 1.0
+    probs[3::4] = np.nextafter(u[3::4], np.inf)
+    return probs
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
+@pytest.mark.parametrize("letters", [0, 1, 3, 4, 5, 60, 5000,
+                                     rng.BATCHED_LETTERS,
+                                     rng.BATCHED_LETTERS + 1])
+def test_bernoulli_rows_equal_fresh_philox(seed, letters):
+    for lo in (0, 2**64 - 6):           # stream ids up to 2^64 - 1
+        probs = _edge_probs(seed, lo + 2, letters)
+        rows = RngSpec(seed).bernoulli_rows(lo, lo + 6, probs)
+        assert rows.shape == (6, letters)
+        for i, row in enumerate(rows):
+            assert (row == (_fresh(seed, lo + i).random(letters)
+                            < probs)).all()
+        want = [False, True, False, True] * (letters // 4 + 1)
+        assert rows[2].tolist() == want[:letters]
+
+
+def test_bernoulli_rows_of_many_short_streams_equal_fresh_philox():
+    # 10^5 rows of 9 letters: 3 lanes a row, so several passes of _LANES
+    probs = np.linspace(0.05, 0.95, 9)
+    assert 10**5 * 3 > 4 * rng._LANES
+    rows = RngSpec(7).bernoulli_rows(0, 10**5, probs)
+    want = np.array([_fresh(7, k).random(9) for k in range(10**5)]) < probs
+    assert np.array_equal(rows, want)
+
+
+def _int32_then_buffer_crossing(*gens):
+    # 3 int32 draws leave a spare half-word (has_uint32 set), then 7
+    # uniforms cross the 4-word output buffer.  The range is a power of 2,
+    # where Lemire's method keeps every 32-bit draw, a stale zero included
+    return tuple(np.concatenate([g.integers(0, 2**20, size=3,
+                                            dtype=np.int32),
+                                 g.random(7)]) for g in gens)
+
+
+@pytest.mark.parametrize("streams", [1, 2])
+def test_generators_rewind_after_int32_and_buffer_crossing(streams):
+    for lo, hi in ((0, 6), (2**64 // streams - 4, 2**64 // streams)):
+        got = [_int32_then_buffer_crossing(*gens)
+               for gens in RngSpec(3).generators(lo, hi, streams=streams)]
+        want = [_int32_then_buffer_crossing(*(_fresh(3, streams * k + i)
+                                              for i in range(streams)))
+                for k in range(lo, hi)]
+        for g, w in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        assert len(got) == hi - lo
 
 
 def test_bernoulli_rows_rewind_no_other_generator():
