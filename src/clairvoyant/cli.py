@@ -24,9 +24,8 @@ import math
 import os
 import sys
 import time
+import types
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from . import compatibility as compat
@@ -34,6 +33,7 @@ from . import embedding as emb
 from . import environment as env
 from . import lattice as lat
 from . import scheduling as sched
+from ._lazy import np
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
 from .runner import workers_used
@@ -602,7 +602,8 @@ def _env(args) -> dict:
                if hasattr(args, "workers") else 1)
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
-        "numpy": np.__version__,
+        # None when no numpy attribute was read, so numpy never loaded
+        "numpy": np.__version__ if type(np) is types.ModuleType else None,
         "cpu_count": os.cpu_count(),
         "cpu_affinity": affinity,
         "workers_used": workers,

@@ -17,9 +17,9 @@ witness (walked back through the kept rows) are all loops over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-import numpy as np
-
+from ._lazy import np
 from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked
@@ -141,14 +141,11 @@ def majority_certificate(x: Word, y: Word) -> MajorityCertificate | None:
     """
     if len(x) != len(y):
         raise ValueError("words must have equal length")
-    cx = np.cumsum(x.letters())
-    cy = np.cumsum(y.letters())
-    ns = np.arange(1, len(x) + 1)
-    ok = (2 * cx > ns) & (2 * cy > ns)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return None
-    return MajorityCertificate(int(hits[0]) + 1)
+    ones = zip(accumulate(x.letters()), accumulate(y.letters()))
+    for n, (cx, cy) in enumerate(ones, 1):
+        if 2 * cx > n and 2 * cy > n:
+            return MajorityCertificate(n)
+    return None
 
 
 def _horizon_bits(xbits: int, ybits: int, N: int) -> int:

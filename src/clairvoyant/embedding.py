@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
+from ._lazy import np
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
@@ -350,13 +349,21 @@ def _second_moment_ratios(n: int, M: int) -> tuple[Fraction | None, Fraction]:
 
     A pair of position sequences (m1, m2) contributes 2**-(n + k), where k
     counts the i with m1_i != m2_i, so a DP over the offset d = m2_i - m1_i
-    sums all M**(2n) pairs in O(n**2 M**3) steps; its total one letter
-    short of the end gives the ratio for n - 1.
+    sums all M**(2n) pairs; its total one letter short of the end gives
+    the ratio for n - 1.
+
+    Letter i meets 2(M - 1)i + 1 offsets, M*M steps each, so the DP takes
+    M*M*(n + (M - 1)n(n - 1)) steps; past ``DEFAULT_BUDGET`` it is refused
+    up front.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
+    steps = M * M * (n + (M - 1) * n * (n - 1))
+    if steps > DEFAULT_BUDGET:
+        raise BudgetError("the offset DP needs %d steps, over the budget of "
+                          "%d" % (steps, DEFAULT_BUDGET))
     # The pair ties v_i to y[m1_i] and y[m2_i], n + k edges with no cycle:
     # a position is at most one m1_i and one m2_j, so a cycle would be an
     # orbit of the increasing map f(m1_i) = m2_i, and those never return

@@ -19,8 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping
 
-import numpy as np
-
+from ._lazy import np
 from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerReplica, run_chunked

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
-import numpy as np
-
+from ._lazy import np
 from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, PerReplica, run_chunked

@@ -26,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
+from ._lazy import np
 
 _MASK64 = (1 << 64) - 1
+# Philox keys a stream by one 64-bit word: stream ids lie below this
+_STREAM_IDS = 1 << 64
 _ZEROS = (0, 0, 0, 0)
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
@@ -93,7 +95,7 @@ def _philox_words(seed: int, first: int, count: int,
     c1, c2, c3, a, b, t1, t2 = (np.zeros(shape, np.uint64) for _ in range(7))
     k0 = seed
     k1 = np.arange(count, dtype=np.uint64).reshape(count, 1)
-    k1 += np.uint64(first & _MASK64)
+    k1 += np.uint64(first)
     for r in range(_ROUNDS):
         if r:
             k0 = (k0 + _W0) & _MASK64
@@ -122,8 +124,8 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be >= 0")
+        if not 0 <= self.stream_id < _STREAM_IDS:
+            raise ValueError("stream_id must lie in [0, 2^64)")
 
     def stream(self, k: int) -> "RngSpec":
         """The k-th derived stream under the same master seed."""
@@ -131,7 +133,7 @@ class RngSpec:
 
     def generator(self) -> np.random.Generator:
         """``Generator(Philox(key=[seed, stream]))``, built fresh."""
-        key = (self.master_seed & _MASK64, self.stream_id & _MASK64)
+        key = (self.master_seed & _MASK64, self.stream_id)
         return np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
@@ -149,6 +151,8 @@ class RngSpec:
             raise ValueError("need 0 <= lo <= hi")
         if streams < 1:
             raise ValueError("streams must be >= 1")
+        if hi * streams > _STREAM_IDS:
+            raise ValueError("stream ids must lie in [0, 2^64)")
         gens = tuple(np.random.Generator(np.random.Philox())
                      for _ in range(streams))
         bits = [(g.bit_generator, i) for i, g in enumerate(gens)]
@@ -185,6 +189,8 @@ class RngSpec:
         """
         if not 0 <= lo <= hi:
             raise ValueError("need 0 <= lo <= hi")
+        if hi > _STREAM_IDS:
+            raise ValueError("stream ids must lie in [0, 2^64)")
         probs = np.asarray(probs, dtype=float)
         shape = (hi - lo,) + probs.shape
         if probs.size > BATCHED_LETTERS:

@@ -62,11 +62,10 @@ import pickle
 import signal
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import np
 from .rng import RngSpec
 
-ChunkFn = Callable[[int, int], np.ndarray]
+ChunkFn = Callable[[int, int], "np.ndarray"]
 
 # The most letters PerBlock draws into one block: 512 KiB of float64
 # uniforms or int64 walk values.
@@ -148,6 +147,9 @@ def run_chunked(fn: ChunkFn, replicas: int, workers: int = 1) -> np.ndarray:
     bounds = chunk_bounds(replicas, workers_used(replicas, workers))
     if len(bounds) == 1:
         return np.asarray(fn(*bounds[0]))
+    # numpy loads on first use (see _lazy): load it and numpy.random here,
+    # once, so that the children inherit them instead of each importing them
+    import numpy.random  # noqa: F401
     children = []  # (pid, read end of its pipe) for chunks 1.., in order
     reaped = 0
     try:

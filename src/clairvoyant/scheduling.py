@@ -43,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .environment import JointPmf
 from .errors import BudgetError, PropertyViolation
 from .lattice import LatticeKind, flood, pack_box

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .rng import RngSpec
 
 

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -28,16 +29,21 @@ def run_csv(tmp_path, argv, name="out.csv"):
     return rows, manifest, out
 
 
+def _fresh_python(code, *argv, check=True):
+    """Run code in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=check, capture_output=True, text=True)
+
+
 def _startup_modules(*roots):
     """Modules under `roots` loaded by importing the CLI and its parser."""
     code = ("import sys, clairvoyant, clairvoyant.cli\n"
             "clairvoyant.cli.build_parser()\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in %r))"
             % (roots,))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    return _fresh_python(code).stdout.strip()
 
 
 def test_startup_imports_no_scipy():
@@ -48,6 +54,91 @@ def test_startup_imports_no_scipy():
 def test_startup_imports_no_process_pool():
     # concurrent.futures.process took 16-22 ms of every CLI start-up
     assert _startup_modules("concurrent", "multiprocessing") == "[]"
+
+
+# exact leaves run on Python ints and Fractions, so numpy never loads
+_NUMPY_FREE = [
+    "embed decide --v 0110 --y 00111100 --M 2",
+    "embed count --v 0110 --y 00111100 --M 2",
+    "embed exact --v 0101 --M 2",
+    "embed recursion --M 2 --n 5",
+    "embed roots --M 3",
+    "embed scan --n 4 --M 2",
+    "embed moments --n 4 --M 2",
+    "compat decide --x 0101 --y 1010",
+    "compat cert --x 0111 --y 1101",
+    "schedule kwise --vertices 1,1;1,2;2,1 --M 2",
+    "env kwise --pmf {pmf} --k 2",
+]
+
+# prints the exit code, whether numpy ran, and the numpy.* modules loaded
+_RUN_LEAF = """\
+import sys, types, clairvoyant.cli
+code = clairvoyant.cli.main(sys.argv[1:])
+np = sys.modules.get("numpy")
+print(code, type(np) is types.ModuleType,
+      sorted(m for m in sys.modules if m.startswith("numpy.")))
+"""
+
+
+def _run_leaf(tmp_path, argv):
+    """(exit code, numpy loaded, numpy.* modules, manifest) of a CLI run
+    in a fresh interpreter."""
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("outcome,numerator,denominator\n"
+                   "00,1,4\n01,1,4\n10,1,4\n11,1,4\n")
+    out = tmp_path / "out.csv"
+    argv = argv.format(pmf=pmf).split() + ["--out", str(out)]
+    code, loaded, modules = _fresh_python(_RUN_LEAF, *argv
+                                          ).stdout.split(" ", 2)
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    return int(code), loaded == "True", modules.strip(), manifest
+
+
+@pytest.mark.parametrize("argv", _NUMPY_FREE)
+def test_exact_leaf_loads_no_numpy(tmp_path, argv):
+    code, loaded, modules, manifest = _run_leaf(tmp_path, argv)
+    assert (code, loaded, modules) == (0, False, "[]")
+    assert manifest["env"]["numpy"] is None
+
+
+def test_monte_carlo_leaf_records_numpy_version(tmp_path):
+    code, loaded, modules, manifest = _run_leaf(
+        tmp_path, "compat mc --p 1/2 --n 5 --replicas 3 --seed 1")
+    assert (code, loaded) == (0, True) and "numpy.random" in modules
+    assert manifest["env"]["numpy"] == numpy.__version__
+
+
+def test_numpy_imported_after_the_package_is_its_numpy():
+    code = ("import types, clairvoyant, clairvoyant.rng as r\n"
+            "assert type(r.np) is not types.ModuleType\n"
+            "import numpy\n"
+            "assert numpy is r.np and type(numpy) is types.ModuleType\n"
+            "print(numpy.arange(5).sum(), numpy.__version__)")
+    assert _fresh_python(code).stdout.split() == ["10", numpy.__version__]
+
+
+def test_forked_chunks_inherit_numpy():
+    # the caller loads numpy and numpy.random before it forks, so no chunk
+    # process imports them again
+    code = ("import sys, types\n"
+            "from clairvoyant.runner import run_chunked\n"
+            "def loaded(lo, hi):\n"
+            "    np = sys.modules.get('numpy')\n"
+            "    return [type(np) is types.ModuleType\n"
+            "            and 'numpy.random' in sys.modules] * (hi - lo)\n"
+            "print(run_chunked(loaded, 4, 4).tolist())")
+    assert _fresh_python(code).stdout.strip() == "[True, True, True, True]"
+
+
+def test_missing_numpy_fails_at_import():
+    # numpy not installed: the interpreter searches no site- or dist-packages
+    code = ("import sys\n"
+            "sys.path = [p for p in sys.path if '-packages' not in p]\n"
+            "import clairvoyant")
+    run = _fresh_python(code, check=False)
+    assert run.returncode == 1
+    assert "ModuleNotFoundError: No module named 'numpy'" in run.stderr
 
 
 def test_readme_cli_block_lists_every_leaf():
@@ -387,6 +478,11 @@ _SAYS = {
     "embed mc --target alternating --M 3 --n 8 --replicas 20 "
     "--seed 18446744073709551616":
         "argument --seed: must be in [0, 2^64), got 18446744073709551616",
+    "embed moments --n 1449 --M 2":
+        "refused: the offset DP needs 8398404 steps, over the budget of "
+        "8388608",
+    "embed moments --n 1 --M 2897":
+        "refused: the offset DP needs 8392609 steps",
 }
 
 
@@ -439,6 +535,10 @@ _SAYS = {
     "embed mc --target alternating --M 3 --n 8 --replicas 20 --seed -1",
     "embed mc --target alternating --M 3 --n 8 --replicas 20 "
     "--seed 18446744073709551616",
+    # the offset DP's M^2 (n + (M - 1) n (n - 1)) steps, one past the budget
+    # in n and in M: refused before the DP starts
+    "embed moments --n 1449 --M 2",
+    "embed moments --n 1 --M 2897",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:
@@ -461,7 +561,7 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert "error" in err
+    assert err.startswith("refused: ") or "error" in err
     assert "Traceback" not in err
     assert _SAYS.get(" ".join(argv), "") in err
 

@@ -56,6 +56,39 @@ def _fresh(seed, k):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox keys a stream by a 64-bit word: every way of drawing stream 2^64
+# refuses it, where some once drew stream 0 and others overflowed in numpy
+
+def test_generator_refuses_stream_ids_past_64_bits():
+    last = 2**64 - 1
+    assert RngSpec(1, last).generator().random() == _fresh(1, last).random()
+    with pytest.raises(ValueError, match=r"2\^64"):
+        RngSpec(1, 2**64)
+    with pytest.raises(ValueError, match=r"2\^64"):
+        RngSpec(1).stream(2**64)
+
+
+def test_generators_refuse_stream_ids_past_64_bits():
+    (g, h), = [tuple(gens) for gens in
+               RngSpec(1).generators(2**63 - 1, 2**63, streams=2)]
+    assert g.random() == _fresh(1, 2**64 - 2).random()
+    assert h.random() == _fresh(1, 2**64 - 1).random()
+    with pytest.raises(ValueError, match=r"2\^64"):
+        next(RngSpec(1).generators(2**64, 2**64 + 1))
+    with pytest.raises(ValueError, match=r"2\^64"):
+        next(RngSpec(1).generators(2**63, 2**63 + 1, streams=2))
+
+
+@pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
+def test_bernoulli_rows_refuse_stream_ids_past_64_bits(letters):
+    probs = np.full(letters, 0.5)
+    row, = RngSpec(1).bernoulli_rows(2**64 - 1, 2**64, probs)
+    assert (row == (_fresh(1, 2**64 - 1).random(letters) < 0.5)).all()
+    for lo, hi in ((2**64, 2**64 + 1), (2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError, match=r"2\^64"):
+            RngSpec(1).bernoulli_rows(lo, hi, probs)
+
+
 _DRAWS = (
     lambda g: g.random(7),
     lambda g: g.integers(0, 10, size=9),
