@@ -10,21 +10,32 @@ State (i, j) has consumed i letters of x and j of y; the moves skip a 0 of
 x, skip a 0 of y, or emit one letter from each provided they are not both
 1, and a reachable state with either word exhausted accepts.  One row
 sweep, `_rows`, yields the reachable j's of each i as one int; the
-decision, the largest compatible horizon behind `psi_mc` and the deletion
-witness (walked back through the kept rows) are all loops over it.
+decision and the deletion witness (walked back through the kept rows) are
+loops over it.
+
+The largest compatible horizon T behind `psi_mc` runs the same sweep on a
+block of replicas at once: `_horizon_lanes` packs each pair of words into
+a lane of one int and steps every lane with each letter.  `_horizon_chunk`
+draws only the letters the sweep reads, in stages: the first 16 letters
+of every replica's two streams, then a prefix 4 times longer (or all N
+letters, when over half of the stage got that far) for the replicas whose
+horizon reached the end of the last one.  Compatibility at horizon n reads
+only the first n letters and is monotone in n, so a horizon short of its
+stage's end is the replica's T, at any N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 from ._lazy import np
 from .errors import PropertyViolation
 from .rng import RngSpec
-from .runner import PerReplica, run_chunked
+from .runner import BLOCK_LETTERS, run_chunked
 from .stats import Estimate
-from .words import Word, pack_mask
+from .words import Word, pack_mask, unpack_mask
 
 
 @dataclass(frozen=True)
@@ -148,33 +159,122 @@ def majority_certificate(x: Word, y: Word) -> MajorityCertificate | None:
     return None
 
 
-def _horizon_bits(xbits: int, ybits: int, N: int) -> int:
-    """Largest n <= N at which the length-n prefixes are compatible.
+# The first stage of `_horizon_chunk` gives every replica this many
+# letters; a later stage takes the replicas whose horizon reached the end of
+# the last one, with _GROWTH times as many letters, or N at once when over
+# half of the last stage's replicas reached its end
+_FIRST_LETTERS = 16
+_GROWTH = 4
 
-    The sweep `_rows` on the length-N words, tracking the largest max(i, j)
-    over reachable states (i, j) instead of stopping at the first exhausted
-    word.  A state with max(i, j) = m uses only the first m letters of each
-    word, so it accepts at horizon m; and each move raises max(i, j) by at
-    most 1, so a path to it passes through an accepting state of every
-    smaller horizon.  So the prefixes are compatible at horizon n exactly
-    when n <= the returned value.
+
+def _horizon_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest compatible horizon T <= K of each pair of rows of x and y.
+
+    Row b of the bool (lanes, K) arrays x and y is one pair of words; T is
+    the largest n <= K at which the pair's length-n prefixes are
+    compatible.  It is the largest max(i, j) over reachable states (i, j):
+    a state with max(i, j) = m uses only the first m letters of each word,
+    so it accepts at horizon m, and each move raises max(i, j) by at most
+    1, so a path to it passes through an accepting state of every smaller
+    horizon.
+
+    Every lane runs the `_rows` sweep at once in one int.  Lane b owns bits
+    b W to b W + K + 1, W = K + 2: bits 0..K are its row's states j, and
+    bit K + 1 is a guard that the aliveness test ``(r + full) & guard``
+    carries into (full holds bits 0..K of each lane), so a carry never
+    reaches the next lane.  The x-step of letter i keeps or emits from r
+    within the mask ``(b << (K+1)) - b`` of the lanes b where x_i = 0, and
+    emits only from r & zy elsewhere.  A lane that reaches j = K has T = K
+    and is retired (cleared), so no shift carries its bit K past the
+    guard.  T is the top bit of the lane's union of rows, where a lane
+    whose row i is empty also gets bit i - 1, the i-part of T.  Once half
+    of the lanes in the int are done, the rest are packed again without
+    them.
     """
-    top = 0
-    for i, r in enumerate(_rows(xbits, N, ybits, N)):
-        if not r or top >= N:
-            break
-        if i > top:
-            top = i
-        j = r.bit_length() - 1
-        if j > top:
-            top = j
-    return top
+    lanes, K = x.shape
+    W = K + 2
+
+    def pack(cols):  # row b of cols at bits b W, b W + 1, ...
+        buf = np.zeros((len(cols), W), dtype=bool)
+        buf[:, :cols.shape[1]] = cols
+        return pack_mask(buf)
+
+    T = np.zeros(lanes, dtype=np.int64)
+    live, r, i = np.arange(lanes), None, 0
+    while True:
+        n = len(live)
+        ones = pack(np.ones((n, 1), dtype=bool))
+        full = (ones << (K + 1)) - ones
+        guard, top = ones << (K + 1), ones << K
+        zy, x0 = pack(~y[live]), pack(~x[live, i:])
+        if r is None:
+            r = ones | (((ones & zy) + zy) ^ zy)
+            steps = range(K + 1)
+        else:
+            steps = range(i + 1, K + 1)
+        seen, alive = 0, guard
+        for i in steps:
+            if i:
+                b = x0 & ones
+                x0 >>= 1
+                m0 = (b << (K + 1)) - b
+                r = (r & m0) | ((r & (m0 | zy)) << 1)
+                r |= ((r & zy) + zy) ^ zy
+            hit = r & top
+            if hit:
+                b = hit >> K
+                r &= ~((b << W) - b)
+                seen |= hit
+            seen |= r
+            now = (r + full) & guard
+            if now != alive:
+                if i:
+                    seen |= (alive ^ now) >> (K + 2 - i)
+                alive = now
+                if 2 * alive.bit_count() <= n:
+                    break
+        if i == K:
+            seen |= alive >> 1
+        t = K - np.argmax(unpack_mask(seen, n * W).reshape(n, W)[:, K::-1],
+                          axis=1)
+        T[live] = np.maximum(T[live], t)
+        if not alive or i == K:
+            return T
+        rows = unpack_mask(r, n * W).reshape(n, W)
+        kept = rows.any(axis=1)
+        live, r = live[kept], pack_mask(rows[kept])
 
 
-def _horizon_replica(gx: np.random.Generator, gy: np.random.Generator,
-                     p: float, N: int) -> int:
-    return _horizon_bits(pack_mask(gx.random(N) < p),
-                         pack_mask(gy.random(N) < p), N)
+def _horizon_chunk(lo: int, hi: int, rng: RngSpec, p: float,
+                   N: int) -> np.ndarray:
+    """Largest compatible horizon T <= N of replicas lo <= k < hi.
+
+    Replica k's words are the Bernoulli(p) letters of streams 2k and 2k+1,
+    drawn by `RngSpec.bernoulli_rows` in stages: first _FIRST_LETTERS
+    letters for every replica, then, for the replicas whose horizon
+    reached the stage's end K < N, a longer prefix, redrawn from the
+    stream's start.  The first K letters of a stream do not depend on how
+    many follow, and compatibility at horizon n reads only the first n
+    letters and is monotone in n, so a stage's T_K < K is T.  Each draw
+    holds at most ``BLOCK_LETTERS`` letters.
+    """
+    T = np.empty(hi - lo, dtype=np.int64)
+    todo = np.arange(hi - lo)
+    K = min(_FIRST_LETTERS, N)
+    while True:
+        probs = np.full(K, p)
+        step = max(1, BLOCK_LETTERS // (2 * K))
+        for a in range(0, len(todo), step):
+            block = todo[a:a + step]
+            xs = 2 * (lo + block)
+            rows = rng.bernoulli_rows(np.stack((xs, xs + 1), axis=1).ravel(),
+                                      probs)
+            T[block] = _horizon_lanes(rows[0::2], rows[1::2])
+        t = T[todo]
+        if K == N or (t < K).all():
+            return T
+        todo = todo[t == K]
+        K = N if 2 * len(todo) > len(t) else min(_GROWTH * K, N)
 
 
 def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
@@ -195,7 +295,7 @@ def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
         raise ValueError("give at least one horizon n")
     if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    fn = PerReplica(_horizon_replica, rng, streams=2, p=p, N=max(ns))
+    fn = partial(_horizon_chunk, rng=rng, p=p, N=max(ns))
     horizons = run_chunked(fn, replicas, workers)
     return [Estimate.from_samples(horizons >= n, rng) for n in ns]
 

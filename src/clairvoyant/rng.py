@@ -12,17 +12,22 @@ output buffer.  Setting the key and zeroing the rest therefore gives the
 stream a freshly built ``Philox(key)`` gives, draw for draw, at a
 twentieth of the cost.  :meth:`RngSpec.generators` rewinds the generators
 it builds once per call to each replica's streams in turn.
-:meth:`RngSpec.bernoulli_rows` draws a whole block of replicas into one
-matrix, row i holding what stream ``lo + i`` would draw.  Short rows come
-from one numpy pass of Philox4x64-10 over every (stream, counter) pair of
-the block, bit for bit numpy's own Philox; rows longer than
+:meth:`RngSpec.bernoulli_rows` draws a whole block of streams into one
+matrix, row i holding what the i-th stream would draw: streams ``lo <= k
+< hi``, a range, or any array of stream ids, in any order and with
+repeats, so that a kernel can redraw a few of its streams longer (the
+first letters of a stream do not depend on how many follow).  Short rows
+come from one numpy pass of Philox4x64-10 over every (stream, counter)
+pair of the block, bit for bit numpy's own Philox; rows longer than
 ``BATCHED_LETTERS`` come from a Philox rewound per stream, since past that
-length numpy's C Philox costs less than the pass.
+length numpy's C Philox costs less than the pass.  Both paths take the
+stream ids as one array.
 :meth:`RngSpec.generator` builds a fresh generator for one-off draws.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -80,22 +85,21 @@ def _mulhilo(a: np.ndarray, m: int, lo: np.ndarray, hi: np.ndarray,
     np.multiply(a, np.uint64(m), out=lo)
 
 
-def _philox_words(seed: int, first: int, count: int,
-                  blocks: int) -> np.ndarray:
-    """Raw words of streams first <= k < first + count, one row per stream.
+def _philox_words(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
+    """Raw words of the streams in the uint64 array ids, one row per id.
 
-    Row i equals ``Philox(key=(seed, first + i)).random_raw(4 * blocks)``.
+    Row i equals ``Philox(key=(seed, ids[i])).random_raw(4 * blocks)``.
     Each (stream, block) pair is one uint64 lane: block j enciphers the
     counter (j + 1, 0, 0, 0), since numpy's Philox increments its counter
     before it generates, under the key (seed, stream).
     """
+    count = len(ids)
     shape = (count, blocks)
     c0 = np.empty(shape, np.uint64)
     c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
     c1, c2, c3, a, b, t1, t2 = (np.zeros(shape, np.uint64) for _ in range(7))
     k0 = seed
-    k1 = np.arange(count, dtype=np.uint64).reshape(count, 1)
-    k1 += np.uint64(first)
+    k1 = ids.reshape(count, 1).copy()
     for r in range(_ROUNDS):
         if r:
             k0 = (k0 + _W0) & _MASK64
@@ -153,6 +157,12 @@ class RngSpec:
             raise ValueError("streams must be >= 1")
         if hi * streams > _STREAM_IDS:
             raise ValueError("stream ids must lie in [0, 2^64)")
+        return self._rewound(range(lo * streams, hi * streams, streams),
+                             streams)
+
+    def _rewound(self, firsts, streams: int = 1
+                 ) -> Iterator[tuple[np.random.Generator, ...]]:
+        """Per k in firsts, ``streams`` generators at streams k + i."""
         gens = tuple(np.random.Generator(np.random.Philox())
                      for _ in range(streams))
         bits = [(g.bit_generator, i) for i, g in enumerate(gens)]
@@ -166,36 +176,46 @@ class RngSpec:
                  "has_uint32": 0, "uinteger": 0}
         state = start["state"]
         seed = self.master_seed & _MASK64
-        for k in range(lo * streams, hi * streams, streams):
+        for k in firsts:
             for b, i in bits:
                 state["key"] = (seed, k + i)
                 b.state = start
             yield gens
 
-    def bernoulli_rows(self, lo: int, hi: int,
-                       probs: np.ndarray) -> np.ndarray:
-        """Bernoulli draws of streams lo <= k < hi, one bool row per stream.
+    def bernoulli_rows(self, lo, hi, probs=None) -> np.ndarray:
+        """Bernoulli draws, one bool row per stream.
 
-        Row i equals ``self.stream(lo + i).generator().random(probs.shape)
-        < probs``, in a matrix of shape ``(hi - lo,) + probs.shape``.
+        ``bernoulli_rows(lo, hi, probs)`` draws streams lo <= k < hi, and
+        ``bernoulli_rows(ids, probs)`` the streams of the int array ids, in
+        its order and repeats included.  Row i equals
+        ``self.stream(k_i).generator().random(probs.shape) < probs`` for
+        the i-th stream id k_i, in a matrix of shape
+        ``(len(ids),) + probs.shape``: the first letters of a stream are
+        the same however many follow, so redrawing a stream longer extends
+        its row.
 
         Rows of at most ``BATCHED_LETTERS`` letters come from
         `_philox_words`, at most ``_LANES`` lanes a pass, and compare in
         integers: a uniform is ``u = (x >> 11) 2^-53`` for the raw word x,
         so ``u < p`` exactly when ``x >> 11 < ceil(p 2^53)``.  The pass
         costs about 35 ns a letter, so longer rows come from numpy's
-        ``random`` on the Philox `generators` rewinds per stream, at about
+        ``random`` on one Philox rewound to each stream in turn, at about
         1.5 us a stream plus 8 ns a letter.
         """
-        if not 0 <= lo <= hi:
+        if probs is None:
+            ids, probs = _id_array(lo), hi
+        elif not 0 <= lo <= hi:
             raise ValueError("need 0 <= lo <= hi")
-        if hi > _STREAM_IDS:
+        elif hi > _STREAM_IDS:
             raise ValueError("stream ids must lie in [0, 2^64)")
+        else:
+            ids = np.arange(hi - lo, dtype=np.uint64)
+            ids += np.uint64(lo)
         probs = np.asarray(probs, dtype=float)
-        shape = (hi - lo,) + probs.shape
+        shape = (len(ids),) + probs.shape
         if probs.size > BATCHED_LETTERS:
-            u = np.empty((hi - lo, probs.size))
-            for row, (gen,) in zip(u, self.generators(lo, hi)):
+            u = np.empty((len(ids), probs.size))
+            for row, (gen,) in zip(u, self._rewound(ids.tolist())):
                 gen.random(out=row)
             return u.reshape(shape) < probs
         seed = self.master_seed & _MASK64
@@ -204,10 +224,26 @@ class RngSpec:
         thresholds = np.ceil(unit * 2.0 ** 53).astype(np.uint64)
         blocks = -(-probs.size // 4)
         step = _LANES // max(1, blocks)
-        rows = np.empty((hi - lo, probs.size), dtype=bool)
-        for a in range(0, hi - lo, step):
-            b = min(a + step, hi - lo)
-            words = _philox_words(seed, lo + a, b - a, blocks)
+        rows = np.empty((len(ids), probs.size), dtype=bool)
+        for a in range(0, len(ids), step):
+            words = _philox_words(seed, ids[a:a + step], blocks)
             words >>= np.uint64(11)
-            np.less(words[:, :probs.size], thresholds, out=rows[a:b])
+            np.less(words[:, :probs.size], thresholds,
+                    out=rows[a:a + step])
         return rows.reshape(shape)
+
+
+def _id_array(ids) -> np.ndarray:
+    """Stream ids as a 1-D uint64 array; ids outside [0, 2^64) refused."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        if ids.ndim != 1:
+            raise ValueError("stream ids must form a 1-D array")
+        if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
+            raise ValueError("stream ids must lie in [0, 2^64)")
+        return ids.astype(np.uint64, copy=False)
+    # through Python ints: numpy would hold 2^64 - 1 beside a small id,
+    # or -1 beside a large one, as float64
+    ids = [operator.index(k) for k in ids]
+    if ids and not (0 <= min(ids) and max(ids) < _STREAM_IDS):
+        raise ValueError("stream ids must lie in [0, 2^64)")
+    return np.array(ids, dtype=np.uint64)

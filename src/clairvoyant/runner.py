@@ -25,7 +25,8 @@ threads can be; the fork-context process pool this runner replaced forked
 the same process on 3.11 to 3.13.
 
 Entry points take the `RngSpec`; kernels take the generators they draw
-from.  A model builds its chunk function from one of two kinds of kernel:
+from.  A model builds its chunk function from one of two kinds of kernel,
+or writes its own when its replicas draw unequal numbers of letters:
 
 * ``PerReplica(kernel, rng, streams=1, **params)`` runs a one-replica
   kernel
@@ -53,6 +54,11 @@ from.  A model builds its chunk function from one of two kinds of kernel:
   pass over the whole block and longer rows from one Philox rewound per
   replica, and ``PerReplica(sampler, rng, **params)`` stacks what a
   one-replica sampler draws from each replica's generators.
+  ``rng.bernoulli_rows(ids, probs)`` draws the same rows for any array
+  of stream ids, through the same two paths: `compatibility`'s chunk
+  function draws the two streams of each replica in stages, first 16
+  letters for every replica and then longer prefixes for only those
+  whose horizon reached the end of the last stage.
 """
 
 from __future__ import annotations

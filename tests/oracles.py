@@ -181,6 +181,34 @@ def brute_compatible(x_letters, y_letters):
     return rec(0, 0)
 
 
+def horizon_bits(xbits, ybits, N):
+    """Largest n <= N at which the length-n prefixes of two length-N words,
+    packed LSB-first, are compatible: the row sweep one word pair at a time.
+
+    Bit j of row r_i is set iff state (i, j) is reachable, and the answer
+    is the largest max(i, j) over reachable states.  A row steps by skip-x
+    (x_{i+1} = 0 keeps every j) or emit (j to j + 1 unless x_{i+1} and
+    y_{j+1} are both 1), then closes under skip-y: adding r & zy to zy
+    carries each run of zy's 1s from its lowest bit in r to one past it.
+    """
+    zy = ~ybits & ((1 << N) - 1)
+    full = (1 << (N + 1)) - 1
+    r = 1 | (((1 & zy) + zy) ^ zy)
+    top = 0
+    for i in range(N + 1):
+        if not r or top >= N:
+            break
+        top = max(top, i, r.bit_length() - 1)
+        if i == N:
+            break
+        if (xbits >> i) & 1:
+            r = (r & zy) << 1
+        else:
+            r |= (r << 1) & full
+        r |= ((r & zy) + zy) ^ zy
+    return min(top, N)
+
+
 def deletion_compatible(x_letters, y_letters):
     """Some 0-deletions of x and of y put no 1 in both at one position of
     their overlap, by trying every pair of deletions."""
@@ -370,6 +398,15 @@ def curve_replica(spec, M, max_depth):
     y = g.integers(1, M + 1, size=max_depth + 1)
     return antidiagonal_survival_depth(SimpleNamespace(x=x, y=y,
                                                        depth=max_depth))
+
+
+def horizon_replica(spec, p, N):
+    """Largest compatible horizon <= N of replica k = spec.stream_id: x
+    from stream 2k and y from stream 2k + 1, each from a fresh generator."""
+    k = spec.stream_id
+    x, y = (spec.stream(2 * k + i).generator().random(N) < p for i in (0, 1))
+    return horizon_bits(sum(1 << i for i, a in enumerate(x) if a),
+                        sum(1 << i for i, a in enumerate(y) if a), N)
 
 
 def good_block_replica(spec, p, R):

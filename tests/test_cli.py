@@ -103,8 +103,10 @@ def test_exact_leaf_loads_no_numpy(tmp_path, argv):
 
 
 def test_monte_carlo_leaf_records_numpy_version(tmp_path):
+    # at p = 0 every replica's horizon reaches the end of its first 16
+    # letters, so it redraws all 60 from a rewound numpy Philox
     code, loaded, modules, manifest = _run_leaf(
-        tmp_path, "compat mc --p 1/2 --n 5 --replicas 3 --seed 1")
+        tmp_path, "compat mc --p 0 --n 60 --replicas 3 --seed 1")
     assert (code, loaded) == (0, True) and "numpy.random" in modules
     assert manifest["env"]["numpy"] == numpy.__version__
 

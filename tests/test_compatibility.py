@@ -1,11 +1,16 @@
+import hashlib
 import tracemalloc
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clairvoyant import cli, compatibility
 from clairvoyant.compatibility import (
     DeletionWitness,
-    _horizon_bits,
+    _horizon_chunk,
+    _horizon_lanes,
     compatible,
     compatible_prefix,
     majority_certificate,
@@ -14,9 +19,11 @@ from clairvoyant.compatibility import (
     validate_deletion,
 )
 from clairvoyant.rng import RngSpec
+from clairvoyant.runner import BLOCK_LETTERS, run_chunked
 from clairvoyant.words import Word, pack_mask
 
-from oracles import brute_compatible, deletion_compatible
+from oracles import (brute_compatible, deletion_compatible, horizon_bits,
+                     horizon_replica)
 
 word_letters = st.lists(st.integers(0, 1), min_size=1, max_size=8)
 
@@ -93,12 +100,18 @@ def test_one_sweep_on_every_pair_up_to_length_7():
                     if wit is not None:
                         assert validate_deletion(wit, x, y), (x, y, wit)
     for N in range(1, 8):
+        # every pair of length-N words is one lane of a single call
+        letters = (np.arange(1 << N)[:, None] >> np.arange(N)) & 1 == 1
+        x = np.repeat(letters, 1 << N, axis=0)
+        y = np.tile(letters, (1 << N, 1))
+        got = iter(_horizon_lanes(x, y))
         for xb in range(1 << N):
             for yb in range(1 << N):
                 best = max([n for n in range(1, N + 1) if table[
                     xb & ((1 << n) - 1), n, yb & ((1 << n) - 1), n]],
                     default=0)
-                assert _horizon_bits(xb, yb, N) == best, (xb, yb, N)
+                assert next(got) == best, (xb, yb, N)
+                assert horizon_bits(xb, yb, N) == best, (xb, yb, N)
 
 
 def test_witness_in_linear_memory():
@@ -193,13 +206,17 @@ def test_psi_mc_deterministic_and_coupled():
 
 
 def test_horizon_matches_every_prefix_of_random_pairs():
+    # 3000 pairs of 79 letters, each of its own density, as the lanes of
+    # one call; pair b is checked on its prefixes up to its own N
     g = RngSpec(61).generator()
-    for _ in range(3000):
-        N = int(g.integers(1, 80))
-        p = float(g.random())
-        xbits = pack_mask(g.random(N) < p)
-        ybits = pack_mask(g.random(N) < p)
-        T = _horizon_bits(xbits, ybits, N)
+    pairs, K = 3000, 79
+    Ns = g.integers(1, K + 1, size=pairs)
+    ps = g.random(pairs)[:, None]
+    x = g.random((pairs, K)) < ps
+    y = g.random((pairs, K)) < ps
+    for xl, yl, N, T in zip(x, y, Ns.tolist(), _horizon_lanes(x, y)):
+        xbits, ybits = pack_mask(xl[:N]), pack_mask(yl[:N])
+        assert horizon_bits(xbits, ybits, N) == min(T, N), (xbits, ybits, N)
         for n in range(1, N + 1):
             m = (1 << n) - 1
             assert (T >= n) == compatible(Word(xbits & m, n),
@@ -219,3 +236,94 @@ def test_psi_curve_equals_psi_mc_per_horizon():
         psi_curve_mc(0.5, [], 10, rng)
     with pytest.raises(ValueError):
         psi_curve_mc(0.5, [3, 0], 10, rng)
+
+
+def test_staged_horizons_match_fresh_stream_oracle():
+    # 162 cells, each at one and three workers: densities with no, few and
+    # most replicas reaching a stage's end, horizons on both sides of every
+    # stage length, and stream ids up to 2^64 - 1 under the largest seed
+    replicas = 60
+    for seed in (1, 5, 2**64 - 1):
+        for p in (0.0, 0.05, 0.3, 0.5, 0.9, 1.0):
+            for N in (1, 2, 15, 16, 17, 63, 64, 65, 257):
+                want = [horizon_replica(RngSpec(seed, k), p, N)
+                        for k in range(replicas)]
+                fn = partial(_horizon_chunk, rng=RngSpec(seed), p=p, N=N)
+                for workers in (1, 3):
+                    got = run_chunked(fn, replicas, workers)
+                    assert got.tolist() == want, (seed, p, N, workers)
+
+
+def _stages(monkeypatch, p, N, replicas, seed):
+    """(K, replicas) of each stage of one chunk, from its sweeps' shapes."""
+    shapes = []
+    sweep = compatibility._horizon_lanes
+
+    def recorded(x, y):
+        shapes.append(x.shape)
+        return sweep(x, y)
+
+    monkeypatch.setattr(compatibility, "_horizon_lanes", recorded)
+    T = _horizon_chunk(0, replicas, RngSpec(seed), p, N)
+    assert T.tolist() == [horizon_replica(RngSpec(seed, k), p, N)
+                          for k in range(replicas)]
+    stages = {}
+    for lanes, K in shapes:
+        assert lanes == 1 or 2 * lanes * K <= BLOCK_LETTERS
+        stages[K] = stages.get(K, 0) + lanes
+    return list(stages.items())
+
+
+def test_stage_schedule(monkeypatch):
+    # a later stage takes 4 times the letters, or N at once when over half
+    # of the last stage reached its end
+    assert _stages(monkeypatch, 0.4, 1000, 1500, 7) == [
+        (16, 1500), (64, 649), (256, 192), (1000, 1)]
+    assert _stages(monkeypatch, 0.0, 1000, 100, 1) == [(16, 100), (1000, 100)]
+    assert _stages(monkeypatch, 0.35, 300, 400, 7) == [(16, 400), (300, 244)]
+    assert _stages(monkeypatch, 1.0, 1000, 100, 1) == [(16, 100)]
+    assert _stages(monkeypatch, 0.0, 10, 100, 1) == [(10, 100)]
+
+
+def test_payload_pinned_at_benchmark_shape(tmp_path):
+    argv = ("compat mc --p 1/2,0.6 --n 25,50,100,200 --replicas 2500 "
+            "--seed 1").split()
+    for workers in (1, 2):
+        out = tmp_path / ("w%d.csv" % workers)
+        assert cli.main(argv + ["--workers", str(workers),
+                                "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fc3b77b5a8d63e8d8280db6d9bc045f81626c71397390ae85250f525209509ab")
+
+
+# Recorded while each replica was still swept on its own from 1000 letters
+# a stream.  At p = 0.4 the stragglers reach every stage (16, 64, 256 and
+# 1000 letters); at p = 0.35 over half pass 16 letters and go to N at once.
+_LONG_BYTES = (
+    b"p,n,estimate,stderr\n"
+    b"3.50000000000e-01,1,8.86000000000e-01,8.20858822294e-03\n"
+    b"3.50000000000e-01,16,6.14666666667e-01,1.25700586562e-02\n"
+    b"3.50000000000e-01,17,6.05333333333e-01,1.26244277775e-02\n"
+    b"3.50000000000e-01,64,3.95333333333e-01,1.26281262390e-02\n"
+    b"3.50000000000e-01,65,3.92666666667e-01,1.26131848473e-02\n"
+    b"3.50000000000e-01,256,1.35333333333e-01,8.83539421543e-03\n"
+    b"3.50000000000e-01,257,1.34666666667e-01,8.81700232829e-03\n"
+    b"3.50000000000e-01,1000,6.00000000000e-03,1.99465596907e-03\n"
+    b"4.00000000000e-01,1,8.43333333333e-01,9.38830344858e-03\n"
+    b"4.00000000000e-01,16,4.32666666667e-01,1.27966134984e-02\n"
+    b"4.00000000000e-01,17,4.21333333333e-01,1.27534101329e-02\n"
+    b"4.00000000000e-01,64,1.28000000000e-01,8.62903858325e-03\n"
+    b"4.00000000000e-01,65,1.25333333333e-01,8.55172578695e-03\n"
+    b"4.00000000000e-01,256,6.66666666667e-04,6.66666666667e-04\n"
+    b"4.00000000000e-01,257,6.66666666667e-04,6.66666666667e-04\n"
+    b"4.00000000000e-01,1000,0.00000000000e+00,0.00000000000e+00\n")
+
+
+def test_payload_pinned_at_long_horizons(tmp_path):
+    argv = ("compat mc --p 0.35,0.4 --n 1,16,17,64,65,256,257,1000 "
+            "--replicas 1500 --seed 7").split()
+    for workers in (1, 2, 3):
+        out = tmp_path / ("w%d.csv" % workers)
+        assert cli.main(argv + ["--workers", str(workers),
+                                "--out", str(out)]) == 0
+        assert out.read_bytes() == _LONG_BYTES, workers

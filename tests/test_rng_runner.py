@@ -89,6 +89,40 @@ def test_bernoulli_rows_refuse_stream_ids_past_64_bits(letters):
             RngSpec(1).bernoulli_rows(lo, hi, probs)
 
 
+_IDS = [9, 2, 2**64 - 1, 9, 0, 40, 2**64 - 1, 7, 2**63]
+
+
+@pytest.mark.parametrize("letters", [0, 3, rng.BATCHED_LETTERS,
+                                     rng.BATCHED_LETTERS + 1, 200])
+@pytest.mark.parametrize("seed", [1, 2**64 - 1])
+def test_bernoulli_rows_of_id_arrays_equal_fresh_philox(seed, letters):
+    # unsorted, repeated and non-contiguous ids, up to 2^64 - 1, as a list
+    # and as a uint64 array; the small ones also as int64
+    probs = np.linspace(0.0, 1.0, letters)
+    small = [k for k in _IDS if k < 2**63]
+    for ids in (_IDS, np.array(_IDS, dtype=np.uint64),
+                np.array(small, dtype=np.int64)):
+        rows = RngSpec(seed).bernoulli_rows(ids, probs)
+        assert rows.shape == (len(ids), letters) and rows.dtype == bool
+        for row, k in zip(rows, ids):
+            want = RngSpec(seed, int(k)).generator().random(letters) < probs
+            assert (row == want).all(), (k, letters)
+    assert (RngSpec(seed).bernoulli_rows(range(3, 9), probs)
+            == RngSpec(seed).bernoulli_rows(3, 9, probs)).all()
+    for empty in ([], np.zeros(0, dtype=np.uint64)):
+        assert RngSpec(seed).bernoulli_rows(empty, probs).shape \
+            == (0, letters)
+
+
+@pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
+def test_bernoulli_rows_refuse_ids_outside_64_bits(letters):
+    probs = np.full(letters, 0.5)
+    for ids in ([2**64], [3, 2**64 + 5], [-1], [2**64 - 1, -1],
+                np.array([5, -2]), (2**70,)):
+        with pytest.raises(ValueError, match=r"2\^64"):
+            RngSpec(1).bernoulli_rows(ids, probs)
+
+
 _DRAWS = (
     lambda g: g.random(7),
     lambda g: g.integers(0, 10, size=9),
@@ -485,18 +519,18 @@ def test_cli_exit_code_of_child_failure_matches_one_worker(
         monkeypatch, capsys, exc, code):
     caller = os.getpid()
 
-    def kernel(*gens, pid, **params):
+    def chunk(lo, hi, pid, **params):
         if os.getpid() != pid:
             raise exc("replica failed")
-        return 0
+        return np.zeros(hi - lo, dtype=np.int64)
 
     argv = ["compat", "mc", "--p", "1/2", "--n", "5", "--replicas", "20",
             "--seed", "1", "--workers"]
-    monkeypatch.setattr(compatibility, "_horizon_replica",
-                        partial(kernel, pid=None))     # fails everywhere
+    monkeypatch.setattr(compatibility, "_horizon_chunk",
+                        partial(chunk, pid=None))      # fails everywhere
     assert cli.main(argv + ["1"]) == code
-    monkeypatch.setattr(compatibility, "_horizon_replica",
-                        partial(kernel, pid=caller))   # fails in children
+    monkeypatch.setattr(compatibility, "_horizon_chunk",
+                        partial(chunk, pid=caller))    # fails in children
     assert cli.main(argv + ["2"]) == code
     assert "replica failed" in capsys.readouterr().err
     _no_child_left()
@@ -505,12 +539,12 @@ def test_cli_exit_code_of_child_failure_matches_one_worker(
 def test_cli_exit_code_of_killed_child(monkeypatch, capsys):
     caller = os.getpid()
 
-    def kernel(*gens, **params):
+    def chunk(lo, hi, **params):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return 0
+        return np.zeros(hi - lo, dtype=np.int64)
 
-    monkeypatch.setattr(compatibility, "_horizon_replica", kernel)
+    monkeypatch.setattr(compatibility, "_horizon_chunk", chunk)
     assert cli.main(["compat", "mc", "--p", "1/2", "--n", "5", "--replicas",
                      "20", "--seed", "1", "--workers", "2"]) == 2
     assert "SIGKILL" in capsys.readouterr().err
