@@ -33,7 +33,7 @@ from itertools import accumulate
 from ._lazy import np
 from .errors import PropertyViolation
 from .rng import RngSpec
-from .runner import BLOCK_LETTERS, run_chunked
+from .runner import PerBlock, run_chunked
 from .stats import Estimate
 from .words import Word, pack_mask, unpack_mask
 
@@ -250,27 +250,26 @@ def _horizon_chunk(lo: int, hi: int, rng: RngSpec, p: float,
     """Largest compatible horizon T <= N of replicas lo <= k < hi.
 
     Replica k's words are the Bernoulli(p) letters of streams 2k and 2k+1,
-    drawn by `RngSpec.bernoulli_rows` in stages: first _FIRST_LETTERS
+    drawn in stages, each run through `PerBlock`: first _FIRST_LETTERS
     letters for every replica, then, for the replicas whose horizon
     reached the stage's end K < N, a longer prefix, redrawn from the
     stream's start.  The first K letters of a stream do not depend on how
     many follow, and compatibility at horizon n reads only the first n
-    letters and is monotone in n, so a stage's T_K < K is T.  Each draw
-    holds at most ``BLOCK_LETTERS`` letters.
+    letters and is monotone in n, so a stage's T_K < K is T.
     """
     T = np.empty(hi - lo, dtype=np.int64)
-    todo = np.arange(hi - lo)
+    todo = np.arange(lo, hi)
     K = min(_FIRST_LETTERS, N)
     while True:
         probs = np.full(K, p)
-        step = max(1, BLOCK_LETTERS // (2 * K))
-        for a in range(0, len(todo), step):
-            block = todo[a:a + step]
-            xs = 2 * (lo + block)
-            rows = rng.bernoulli_rows(np.stack((xs, xs + 1), axis=1).ravel(),
-                                      probs)
-            T[block] = _horizon_lanes(rows[0::2], rows[1::2])
-        t = T[todo]
+
+        def draw(ids):  # rows x and y of the stage's ids-th replicas
+            xs = 2 * todo[ids]
+            return rng.bernoulli_rows(np.stack((xs, xs + 1), axis=1).ravel(),
+                                      probs).reshape(len(ids), 2, K)
+        t = PerBlock(lambda rows: _horizon_lanes(rows[:, 0], rows[:, 1]),
+                     draw, 2 * K)(0, len(todo))
+        T[todo - lo] = t
         if K == N or (t < K).all():
             return T
         todo = todo[t == K]

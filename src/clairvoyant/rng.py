@@ -10,19 +10,18 @@ are distributed over worker processes.
 Philox is counter-based: its whole state is the key, a counter and a small
 output buffer.  Setting the key and zeroing the rest therefore gives the
 stream a freshly built ``Philox(key)`` gives, draw for draw, at a
-twentieth of the cost.  :meth:`RngSpec.generators` rewinds the generators
-it builds once per call to each replica's streams in turn.
-:meth:`RngSpec.bernoulli_rows` draws a whole block of streams into one
-matrix, row i holding what the i-th stream would draw: streams ``lo <= k
-< hi``, a range, or any array of stream ids, in any order and with
-repeats, so that a kernel can redraw a few of its streams longer (the
-first letters of a stream do not depend on how many follow).  Short rows
-come from one numpy pass of Philox4x64-10 over every (stream, counter)
-pair of the block, bit for bit numpy's own Philox; rows longer than
-``BATCHED_LETTERS`` come from a Philox rewound per stream, since past that
-length numpy's C Philox costs less than the pass.  Both paths take the
-stream ids as one array.
-:meth:`RngSpec.generator` builds a fresh generator for one-off draws.
+twentieth of the cost.  Stream ids cross this module's boundary in one
+form, an array of ids (any iterable of ints, in any order and with
+repeats), and both ways of drawing a stream refuse an id outside [0,
+2^64) alike.  :meth:`RngSpec.generators` rewinds one generator to each
+stream of the array in turn.  :meth:`RngSpec.bernoulli_rows` draws the
+streams into one matrix, row i holding what the i-th stream would draw;
+the first letters of a stream do not depend on how many follow, so a
+kernel can redraw a few of its streams longer.  Short rows come from one
+numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
+bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
+`generators`.  :meth:`RngSpec.generator` builds a fresh generator for
+one-off draws.
 """
 
 from __future__ import annotations
@@ -141,31 +140,17 @@ class RngSpec:
         return np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
-    def generators(self, lo: int, hi: int, streams: int = 1
-                   ) -> Iterator[tuple[np.random.Generator, ...]]:
-        """Per replica lo <= k < hi, a tuple of ``streams`` generators.
+    def generators(self, ids) -> Iterator[np.random.Generator]:
+        """Per stream id in ids, a generator at the start of that stream.
 
-        Replica k's tuple holds generators at the start of streams
-        ``streams * k + i`` for i < streams, draw for draw those of
-        ``self.stream(streams * k + i).generator()``.  The same generators
-        are rewound for every replica, so a tuple is valid only until the
-        next one is yielded.
+        The generator yielded for id k draws what
+        ``self.stream(k).generator()`` draws.  One generator is rewound
+        for every id, so it is valid only until the next one is yielded.
+        Bad ids are refused here, before anything is yielded.
         """
-        if not 0 <= lo <= hi:
-            raise ValueError("need 0 <= lo <= hi")
-        if streams < 1:
-            raise ValueError("streams must be >= 1")
-        if hi * streams > _STREAM_IDS:
-            raise ValueError("stream ids must lie in [0, 2^64)")
-        return self._rewound(range(lo * streams, hi * streams, streams),
-                             streams)
-
-    def _rewound(self, firsts, streams: int = 1
-                 ) -> Iterator[tuple[np.random.Generator, ...]]:
-        """Per k in firsts, ``streams`` generators at streams k + i."""
-        gens = tuple(np.random.Generator(np.random.Philox())
-                     for _ in range(streams))
-        bits = [(g.bit_generator, i) for i, g in enumerate(gens)]
+        ids = _id_array(ids).tolist()
+        gen = np.random.Generator(np.random.Philox())
+        bits = gen.bit_generator
         # assigning this dict, its key set to (seed, k), rewinds a Philox to
         # the start of stream k: counter, buffer and the spare half-word of
         # an int32 draw are all reset.  numpy copies the values, so one dict
@@ -176,46 +161,33 @@ class RngSpec:
                  "has_uint32": 0, "uinteger": 0}
         state = start["state"]
         seed = self.master_seed & _MASK64
-        for k in firsts:
-            for b, i in bits:
-                state["key"] = (seed, k + i)
-                b.state = start
-            yield gens
 
-    def bernoulli_rows(self, lo, hi, probs=None) -> np.ndarray:
-        """Bernoulli draws, one bool row per stream.
+        def rewound(k):
+            state["key"] = (seed, k)
+            bits.state = start
+            return gen
+        return map(rewound, ids)
 
-        ``bernoulli_rows(lo, hi, probs)`` draws streams lo <= k < hi, and
-        ``bernoulli_rows(ids, probs)`` the streams of the int array ids, in
-        its order and repeats included.  Row i equals
-        ``self.stream(k_i).generator().random(probs.shape) < probs`` for
-        the i-th stream id k_i, in a matrix of shape
-        ``(len(ids),) + probs.shape``: the first letters of a stream are
-        the same however many follow, so redrawing a stream longer extends
-        its row.
+    def bernoulli_rows(self, ids, probs) -> np.ndarray:
+        """Bernoulli draws, one bool row per stream id in ids.
+
+        Row i equals ``self.stream(k_i).generator().random(probs.shape) <
+        probs`` for the i-th id k_i, in a matrix of shape ``(len(ids),) +
+        probs.shape``: the first letters of a stream are the same however
+        many follow, so redrawing a stream longer extends its row.
 
         Rows of at most ``BATCHED_LETTERS`` letters come from
         `_philox_words`, at most ``_LANES`` lanes a pass, and compare in
         integers: a uniform is ``u = (x >> 11) 2^-53`` for the raw word x,
-        so ``u < p`` exactly when ``x >> 11 < ceil(p 2^53)``.  The pass
-        costs about 35 ns a letter, so longer rows come from numpy's
-        ``random`` on one Philox rewound to each stream in turn, at about
-        1.5 us a stream plus 8 ns a letter.
+        so ``u < p`` exactly when ``x >> 11 < ceil(p 2^53)``.  Longer rows
+        come from numpy's ``random`` on `generators`.
         """
-        if probs is None:
-            ids, probs = _id_array(lo), hi
-        elif not 0 <= lo <= hi:
-            raise ValueError("need 0 <= lo <= hi")
-        elif hi > _STREAM_IDS:
-            raise ValueError("stream ids must lie in [0, 2^64)")
-        else:
-            ids = np.arange(hi - lo, dtype=np.uint64)
-            ids += np.uint64(lo)
+        ids = _id_array(ids)
         probs = np.asarray(probs, dtype=float)
         shape = (len(ids),) + probs.shape
         if probs.size > BATCHED_LETTERS:
             u = np.empty((len(ids), probs.size))
-            for row, (gen,) in zip(u, self._rewound(ids.tolist())):
+            for row, gen in zip(u, self.generators(ids)):
                 gen.random(out=row)
             return u.reshape(shape) < probs
         seed = self.master_seed & _MASK64

@@ -1,12 +1,12 @@
 """Replica scheduling for Monte Carlo runs.
 
 Every Monte Carlo estimate in the package is a loop over replicas, and this
-module owns that loop.  A chunk function maps a replica range ``lo <= k <
-hi`` to an array with one row per replica, and ``run_chunked`` evaluates a
-chunk function over contiguous replica ranges, one per process.  Row k
-always comes from replica k's own streams under the entry point's
-`RngSpec`, so the concatenated result is a pure function of (master seed,
-replica count) and does not depend on the worker count.
+module owns that loop.  A chunk function ``fn(lo, hi)`` maps a replica
+range ``lo <= k < hi`` to an array with one row per replica, and
+``run_chunked`` evaluates a chunk function over contiguous replica ranges,
+one per process.  Row k always comes from replica k's own streams under
+the entry point's `RngSpec`, so the concatenated result is a pure function
+of (master seed, replica count) and does not depend on the worker count.
 
 With W chunks (`workers_used`), the calling process forks W - 1 children
 with ``os.fork``, one for each of chunks 1..W-1, and runs chunk 0 itself.
@@ -21,44 +21,29 @@ returns or raises, and killed first if the caller is unwinding.  Where
 ``os.fork`` does not exist, every replica runs in the calling process,
 with the same rows.  On Python 3.12 and later ``os.fork`` warns with a
 DeprecationWarning when another thread is alive, as numpy's OpenBLAS
-threads can be; the fork-context process pool this runner replaced forked
-the same process on 3.11 to 3.13.
+threads can be.
 
-Entry points take the `RngSpec`; kernels take the generators they draw
-from.  A model builds its chunk function from one of two kinds of kernel,
-or writes its own when its replicas draw unequal numbers of letters:
+Entry points take the `RngSpec`; kernels take what they draw from.  A
+model builds its chunk function from one of two kinds of kernel:
 
-* ``PerReplica(kernel, rng, streams=1, **params)`` runs a one-replica
-  kernel
+* ``PerReplica(kernel, rng, **params)`` runs a one-replica kernel
 
-      kernel(*gens: np.random.Generator, **params) -> row
+      kernel(g: np.random.Generator, **params) -> row
 
-  once per replica, where ``gens`` holds generators at the start of
-  streams ``streams * k + i``, i < streams, from ``rng.generators``; the
-  kernel draws all of its randomness from them and returns a bool, an
-  int, a tuple of them, or arrays of one shape for every replica.  The
-  runner rewinds the same generators for every replica, so a kernel must
-  not keep them past its return.
+  once per replica k, with ``g`` at the start of stream k (from
+  ``rng.generators``).  The kernel returns a bool, an int, a tuple of
+  them, or arrays of one shape for every replica, and must not keep
+  ``g`` past its return: the same generator is rewound for every replica.
 * ``PerBlock(kernel, draw, letters, **params)`` runs a block kernel
 
       kernel(rows: np.ndarray, **params) -> array
 
-  on whole blocks of replicas, at most ``BLOCK_LETTERS // letters`` (and at
-  least one) a block, where ``letters`` is what one replica draws.  Its
-  rows come from a draw function ``draw(lo, hi)``, which, like a chunk
-  function, returns one row per replica lo <= k < hi from replica k's own
-  streams; the kernel returns one result per row.  There are two:
-  ``functools.partial(rng.bernoulli_rows, probs=probs)`` draws Bernoulli
-  letters with per-letter densities ``probs`` straight into the block,
-  rows of at most ``rng.BATCHED_LETTERS`` letters from one numpy Philox
-  pass over the whole block and longer rows from one Philox rewound per
-  replica, and ``PerReplica(sampler, rng, **params)`` stacks what a
-  one-replica sampler draws from each replica's generators.
-  ``rng.bernoulli_rows(ids, probs)`` draws the same rows for any array
-  of stream ids, through the same two paths: `compatibility`'s chunk
-  function draws the two streams of each replica in stages, first 16
-  letters for every replica and then longer prefixes for only those
-  whose horizon reached the end of the last stage.
+  on blocks of at most ``BLOCK_LETTERS // letters`` replicas (and at
+  least one), where ``letters`` is what one replica draws.  A draw takes
+  the block's replica ids, an int array, and returns one row per id from
+  that replica's own streams, as
+  ``functools.partial(rng.bernoulli_rows, probs=probs)`` does; the kernel
+  returns one result per row.
 """
 
 from __future__ import annotations
@@ -72,6 +57,7 @@ from ._lazy import np
 from .rng import RngSpec
 
 ChunkFn = Callable[[int, int], "np.ndarray"]
+DrawFn = Callable[["np.ndarray"], "np.ndarray"]
 
 # The most letters PerBlock draws into one block: 512 KiB of float64
 # uniforms or int64 walk values.
@@ -79,25 +65,21 @@ BLOCK_LETTERS = 1 << 16
 
 
 class PerReplica:
-    """Chunk function of a one-replica kernel: row k is func(*gens_k).
+    """Chunk function of a one-replica kernel: row k is func(g_k).
 
-    ``gens_k`` are the generators `RngSpec.generators` yields for replica
-    k, at streams ``streams * k + i``.  The kernel sits in ``func``, the
-    attribute name `functools.partial` uses, so tools that look through
-    partials see the kernel's module.  Instances pickle whenever the
-    kernel is a module-level function.
+    ``g_k`` is the generator `RngSpec.generators` yields for stream k.
+    The kernel sits in ``func``, the attribute name `functools.partial`
+    uses, so tools that look through partials see the kernel's module.
     """
 
-    def __init__(self, func: Callable, rng: RngSpec, streams: int = 1,
-                 **params):
+    def __init__(self, func: Callable, rng: RngSpec, **params):
         self.func = func
         self.rng = rng
-        self.streams = streams
         self.params = params
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.func(*gens, **self.params) for gens in
-                         self.rng.generators(lo, hi, self.streams)])
+        return np.array([self.func(g, **self.params)
+                         for g in self.rng.generators(range(lo, hi))])
 
 
 class PerBlock:
@@ -105,14 +87,14 @@ class PerBlock:
     row ``draw`` gives replica k.
 
     Replicas lo <= k < hi are drawn in blocks of at most ``BLOCK_LETTERS``
-    letters (one row, at least, per block) by ``draw(a, b)``, and each
-    block goes to ``func(rows, **params)``; row k of the result is the
-    kernel's result for stream k's draws, however the replicas are
-    chunked.  Like `PerReplica`, the kernel sits in ``func``, and instances
-    pickle whenever the kernel and the draw function do.
+    letters (one row, at least, per block) by ``draw(ids)``, with ids the
+    block's replica ids, and each block goes to ``func(rows, **params)``;
+    row k of the result is the kernel's result for replica k's draws,
+    however the replicas are chunked.  Like `PerReplica`, the kernel sits
+    in ``func``.
     """
 
-    def __init__(self, func: Callable, draw: ChunkFn, letters: int,
+    def __init__(self, func: Callable, draw: DrawFn, letters: int,
                  **params):
         self.func = func
         self.draw = draw
@@ -122,7 +104,8 @@ class PerBlock:
     def __call__(self, lo: int, hi: int) -> np.ndarray:
         step = max(1, BLOCK_LETTERS // max(1, self.letters))
         return np.concatenate([
-            self.func(self.draw(a, min(a + step, hi)), **self.params)
+            self.func(self.draw(np.arange(a, min(a + step, hi))),
+                      **self.params)
             for a in range(lo, hi, step)])
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from ._lazy import np
 from .environment import JointPmf
@@ -89,6 +90,12 @@ def _walks(g: np.random.Generator, M: int,
     x drawn first."""
     x = g.integers(1, M + 1, size=depth + 1)
     return x, g.integers(1, M + 1, size=depth + 1)
+
+
+def _walk_rows(ids, rng: RngSpec, M: int, depth: int) -> np.ndarray:
+    """Draw of `PerBlock`: row i holds the walks x and y that stream ids[i]
+    gives, drawn as `sample_grid` draws them."""
+    return np.array([_walks(g, M, depth) for g in rng.generators(ids)])
 
 
 def sample_grid(M: int, depth: int, g: np.random.Generator) -> ScheduleGrid:
@@ -237,8 +244,9 @@ def _curve_chunk_fn(M: int, depths, rng: RngSpec) -> PerBlock:
     """Row k: whether replica k survives to each of depths.  Its walks
     come from its own stream, drawn as `sample_grid` draws them."""
     depth = max(depths)
-    return PerBlock(_survival_block, PerReplica(_walks, rng, M=M, depth=depth),
-                    2 * (depth + 1), depths=tuple(depths))
+    walks = partial(_walk_rows, rng=rng, M=M, depth=depth)
+    return PerBlock(_survival_block, walks, 2 * (depth + 1),
+                    depths=tuple(depths))
 
 
 def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
@@ -251,7 +259,9 @@ def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
     """
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
-    if not depths or any(d < 0 for d in depths):
+    if not depths:
+        raise ValueError("give at least one depth")
+    if any(d < 0 for d in depths):
         raise ValueError("depths must be non-negative")
     alive = run_chunked(_curve_chunk_fn(M, depths, rng), replicas, workers)
     return [Estimate.from_samples(col, rng) for col in alive.T]
@@ -309,7 +319,7 @@ def _coupling_block(walks: np.ndarray, M: int, depth: int) -> np.ndarray:
 def _coupling_chunk_fn(M: int, k: int, depth: int, rng: RngSpec) -> PerBlock:
     """Row j: `_coupling_block` of replica j's walks on {1..kM}, drawn from
     its own stream as `sample_grid` draws them."""
-    walks = PerReplica(_walks, rng, M=k * M, depth=depth)
+    walks = partial(_walk_rows, rng=rng, M=k * M, depth=depth)
     return PerBlock(_coupling_block, walks, 2 * (depth + 1), M=M,
                     depth=depth)
 

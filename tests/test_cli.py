@@ -474,6 +474,7 @@ _SAYS = {
         "alphabet size M must be >= 2",
     "schedule curve --M 0 --depths 5 --replicas 3":
         "alphabet size M must be >= 2",
+    "schedule curve --M 4 --depths , --replicas 3": "give at least one depth",
     "lattice abscan --p 1/2 --box 3000000 --replicas 1": "out of memory",
     "embed mc --target alternating --M 3 --n 8 --replicas 20 --seed -1":
         "argument --seed: must be in [0, 2^64), got -1",
@@ -532,6 +533,7 @@ _SAYS = {
     "schedule undirected --M 2 --box -1 --replicas 5",
     "schedule curve --M 1 --depths 5 --replicas 3",
     "schedule curve --M 0 --depths 5 --replicas 3",
+    "schedule curve --M 4 --depths , --replicas 3",
     # a seed outside [0, 2^64) would alias one inside: RngSpec reduces the
     # key mod 2^64, so -1 gave the streams of 2^64 - 1 and 2^64 those of 0
     "embed mc --target alternating --M 3 --n 8 --replicas 20 --seed -1",

@@ -1,5 +1,4 @@
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
-from clairvoyant import cli, compatibility, rng, scheduling
+from clairvoyant import cli, compatibility, rng
 from clairvoyant.errors import BudgetError, PropertyViolation
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
@@ -45,10 +44,8 @@ def test_rng_rejects_negative_stream():
         RngSpec(1, -1)
     assert RngSpec(1).stream(3).stream_id == 3
     with pytest.raises(ValueError):
-        next(RngSpec(1).generators(-1, 2))
-    with pytest.raises(ValueError):
-        next(RngSpec(1).generators(0, 2, streams=0))
-    assert list(RngSpec(1).generators(3, 3)) == []
+        next(RngSpec(1).generators(range(-1, 2)))
+    assert list(RngSpec(1).generators(range(3, 3))) == []
 
 
 def _fresh(seed, k):
@@ -69,24 +66,22 @@ def test_generator_refuses_stream_ids_past_64_bits():
 
 
 def test_generators_refuse_stream_ids_past_64_bits():
-    (g, h), = [tuple(gens) for gens in
-               RngSpec(1).generators(2**63 - 1, 2**63, streams=2)]
-    assert g.random() == _fresh(1, 2**64 - 2).random()
-    assert h.random() == _fresh(1, 2**64 - 1).random()
-    with pytest.raises(ValueError, match=r"2\^64"):
-        next(RngSpec(1).generators(2**64, 2**64 + 1))
-    with pytest.raises(ValueError, match=r"2\^64"):
-        next(RngSpec(1).generators(2**63, 2**63 + 1, streams=2))
+    last = range(2**64 - 2, 2**64)
+    assert [g.random() for g in RngSpec(1).generators(last)] \
+        == [_fresh(1, k).random() for k in last]
+    for ids in (range(2**64, 2**64 + 1), range(2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError, match=r"2\^64"):
+            next(RngSpec(1).generators(ids))
 
 
 @pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
 def test_bernoulli_rows_refuse_stream_ids_past_64_bits(letters):
     probs = np.full(letters, 0.5)
-    row, = RngSpec(1).bernoulli_rows(2**64 - 1, 2**64, probs)
+    row, = RngSpec(1).bernoulli_rows(range(2**64 - 1, 2**64), probs)
     assert (row == (_fresh(1, 2**64 - 1).random(letters) < 0.5)).all()
     for lo, hi in ((2**64, 2**64 + 1), (2**64 - 1, 2**64 + 1)):
         with pytest.raises(ValueError, match=r"2\^64"):
-            RngSpec(1).bernoulli_rows(lo, hi, probs)
+            RngSpec(1).bernoulli_rows(range(lo, hi), probs)
 
 
 _IDS = [9, 2, 2**64 - 1, 9, 0, 40, 2**64 - 1, 7, 2**63]
@@ -107,8 +102,6 @@ def test_bernoulli_rows_of_id_arrays_equal_fresh_philox(seed, letters):
         for row, k in zip(rows, ids):
             want = RngSpec(seed, int(k)).generator().random(letters) < probs
             assert (row == want).all(), (k, letters)
-    assert (RngSpec(seed).bernoulli_rows(range(3, 9), probs)
-            == RngSpec(seed).bernoulli_rows(3, 9, probs)).all()
     for empty in ([], np.zeros(0, dtype=np.uint64)):
         assert RngSpec(seed).bernoulli_rows(empty, probs).shape \
             == (0, letters)
@@ -116,11 +109,14 @@ def test_bernoulli_rows_of_id_arrays_equal_fresh_philox(seed, letters):
 
 @pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
 def test_bernoulli_rows_refuse_ids_outside_64_bits(letters):
+    # generators refuses the same ids, in the same words
     probs = np.full(letters, 0.5)
     for ids in ([2**64], [3, 2**64 + 5], [-1], [2**64 - 1, -1],
                 np.array([5, -2]), (2**70,)):
         with pytest.raises(ValueError, match=r"2\^64"):
             RngSpec(1).bernoulli_rows(ids, probs)
+        with pytest.raises(ValueError, match=r"2\^64"):
+            RngSpec(1).generators(ids)
 
 
 _DRAWS = (
@@ -169,9 +165,8 @@ def _one_off(offset):
 
 
 def _rewound(offset):
-    lo = 100 * offset
-    for k, (g,) in enumerate(RngSpec(9).generators(lo, lo + 100), lo):
-        yield k, g
+    ids = range(100 * offset, 100 * offset + 100)
+    yield from zip(ids, RngSpec(9).generators(ids))
 
 
 def test_generator_reuse_across_threads():
@@ -205,17 +200,19 @@ def test_generator_reuse_across_threads():
 @pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
 def test_bernoulli_rows_equal_per_stream_draws(seed):
     probs = np.array([[0.0, 0.3], [0.7, 1.0], [0.5, 0.5]])
-    rows = RngSpec(seed).bernoulli_rows(3, 40, probs)
+    rows = RngSpec(seed).bernoulli_rows(range(3, 40), probs)
     assert rows.shape == (37, 3, 2) and rows.dtype == bool
     for i, row in enumerate(rows):
         assert (row == (_fresh(seed, 3 + i).random((3, 2)) < probs)).all()
-    assert RngSpec(seed).bernoulli_rows(4, 4, probs).shape == (0, 3, 2)
-    assert RngSpec(seed).bernoulli_rows(0, 3, np.ones(0)).shape == (3, 0)
+    assert RngSpec(seed).bernoulli_rows(range(4, 4), probs).shape \
+        == (0, 3, 2)
+    assert RngSpec(seed).bernoulli_rows(range(3), np.ones(0)).shape \
+        == (3, 0)
     odd = np.array([np.nan, -0.5, 1.5, np.inf, -np.inf, 5e-324])
-    for i, row in enumerate(RngSpec(seed).bernoulli_rows(0, 20, odd)):
+    for i, row in enumerate(RngSpec(seed).bernoulli_rows(range(20), odd)):
         assert (row == (_fresh(seed, i).random(6) < odd)).all()
     with pytest.raises(ValueError):
-        RngSpec(seed).bernoulli_rows(-1, 2, probs)
+        RngSpec(seed).bernoulli_rows(range(-1, 2), probs)
 
 
 def _edge_probs(seed, k, letters):
@@ -236,7 +233,7 @@ def _edge_probs(seed, k, letters):
 def test_bernoulli_rows_equal_fresh_philox(seed, letters):
     for lo in (0, 2**64 - 6):           # stream ids up to 2^64 - 1
         probs = _edge_probs(seed, lo + 2, letters)
-        rows = RngSpec(seed).bernoulli_rows(lo, lo + 6, probs)
+        rows = RngSpec(seed).bernoulli_rows(range(lo, lo + 6), probs)
         assert rows.shape == (6, letters)
         for i, row in enumerate(rows):
             assert (row == (_fresh(seed, lo + i).random(letters)
@@ -249,37 +246,32 @@ def test_bernoulli_rows_of_many_short_streams_equal_fresh_philox():
     # 10^5 rows of 9 letters: 3 lanes a row, so several passes of _LANES
     probs = np.linspace(0.05, 0.95, 9)
     assert 10**5 * 3 > 4 * rng._LANES
-    rows = RngSpec(7).bernoulli_rows(0, 10**5, probs)
+    rows = RngSpec(7).bernoulli_rows(range(10**5), probs)
     want = np.array([_fresh(7, k).random(9) for k in range(10**5)]) < probs
     assert np.array_equal(rows, want)
 
 
-def _int32_then_buffer_crossing(*gens):
+def _int32_then_buffer_crossing(g):
     # 3 int32 draws leave a spare half-word (has_uint32 set), then 7
     # uniforms cross the 4-word output buffer.  The range is a power of 2,
     # where Lemire's method keeps every 32-bit draw, a stale zero included
-    return tuple(np.concatenate([g.integers(0, 2**20, size=3,
-                                            dtype=np.int32),
-                                 g.random(7)]) for g in gens)
+    return np.concatenate([g.integers(0, 2**20, size=3, dtype=np.int32),
+                           g.random(7)])
 
 
-@pytest.mark.parametrize("streams", [1, 2])
-def test_generators_rewind_after_int32_and_buffer_crossing(streams):
-    for lo, hi in ((0, 6), (2**64 // streams - 4, 2**64 // streams)):
-        got = [_int32_then_buffer_crossing(*gens)
-               for gens in RngSpec(3).generators(lo, hi, streams=streams)]
-        want = [_int32_then_buffer_crossing(*(_fresh(3, streams * k + i)
-                                              for i in range(streams)))
-                for k in range(lo, hi)]
-        for g, w in zip(got, want):
-            assert all(np.array_equal(a, b) for a, b in zip(g, w))
-        assert len(got) == hi - lo
+def test_generators_rewind_after_int32_and_buffer_crossing():
+    for ids in (range(6), range(2**64 - 4, 2**64), [5, 2**64 - 1, 5, 0]):
+        got = [_int32_then_buffer_crossing(g)
+               for g in RngSpec(3).generators(ids)]
+        want = [_int32_then_buffer_crossing(_fresh(3, k)) for k in ids]
+        assert len(got) == len(ids)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_bernoulli_rows_rewind_no_other_generator():
     held = RngSpec(5, 1).generator()
     first = held.random(3)
-    RngSpec(5).bernoulli_rows(0, 50, np.full(8, 0.5))
+    RngSpec(5).bernoulli_rows(range(50), np.full(8, 0.5))
     ref = _fresh(5, 1)
     assert (first == ref.random(3)).all()
     assert (held.random(4) == ref.random(4)).all()
@@ -294,7 +286,7 @@ def test_bernoulli_rows_across_threads():
 
     def work(offset):
         for lo in range(offset * 5, 400, 20):
-            rows = RngSpec(9).bernoulli_rows(lo, lo + 5, probs)
+            rows = RngSpec(9).bernoulli_rows(range(lo, lo + 5), probs)
             if any((row != want[lo + i]).any() for i, row in enumerate(rows)):
                 bad.append(lo)
 
@@ -312,17 +304,14 @@ def test_bernoulli_rows_across_threads():
     assert bad == []
 
 
-def _uniforms(*gens):
-    return tuple(g.random() for g in gens)
+def _uniforms(g):
+    return g.random(), g.random()
 
 
-@pytest.mark.parametrize("streams", [1, 2])
-def test_per_replica_row_k_is_its_streams(streams):
-    want = [tuple(_fresh(8, streams * k + i).random() for i in range(streams))
-            for k in range(40)]
+def test_per_replica_row_k_is_its_stream():
+    want = [tuple(_fresh(8, k).random(2)) for k in range(40)]
     for workers in (1, 2, 3):
-        fn = PerReplica(_uniforms, RngSpec(8), streams=streams)
-        got = run_chunked(fn, 40, workers)
+        got = run_chunked(PerReplica(_uniforms, RngSpec(8)), 40, workers)
         assert list(map(tuple, got.tolist())) == want
 
 
@@ -344,13 +333,9 @@ def test_per_block_row_k_is_stream_k():
         assert got.tolist() == want
 
 
-def _integer_draws(g, size):
-    return g.integers(0, 1000, size=size)
-
-
-def _per_replica_block(seed, size):
-    return PerBlock(_row_sums, PerReplica(_integer_draws, RngSpec(seed),
-                                          size=size), size)
+def _integer_rows(ids, rng, size):
+    return np.array([g.integers(0, 1000, size=size)
+                     for g in rng.generators(ids)])
 
 
 def test_per_block_of_generator_draws_row_k_is_stream_k():
@@ -358,7 +343,8 @@ def test_per_block_of_generator_draws_row_k_is_stream_k():
     assert BLOCK_LETTERS // size < 40            # several blocks a chunk
     want = [_fresh(4, k).integers(0, 1000, size=size).sum()
             for k in range(40)]
-    fn = _per_replica_block(4, size)
+    fn = PerBlock(_row_sums, partial(_integer_rows, rng=RngSpec(4),
+                                     size=size), size)
     for workers in (1, 2, 3):
         assert run_chunked(fn, 40, workers).tolist() == want
     cuts = (0, 1, 4, 25, 40)       # uneven chunks, some inside one block
@@ -366,17 +352,38 @@ def test_per_block_of_generator_draws_row_k_is_stream_k():
                            ]).tolist() == want
 
 
-def test_chunk_functions_survive_pickling():
-    # chunk functions no longer cross a process boundary, since forked
-    # children inherit them; the rows and exceptions they give back do.
-    # The chunk functions themselves still pickle, kernels and state alike
-    probs = np.linspace(0.0, 1.0, 5000)
-    for fn in (_bernoulli_block(8, probs), _per_replica_block(4, 3000),
-               PerReplica(_uniforms, RngSpec(8), streams=2),
-               scheduling._curve_chunk_fn(4, [40, 0, 7], RngSpec(2)),
-               scheduling._coupling_chunk_fn(2, 3, 40, RngSpec(2))):
-        again = pickle.loads(pickle.dumps(fn))
-        assert np.array_equal(again(3, 30), fn(3, 30))
+def test_per_block_hands_draw_the_block_ids():
+    # a draw sees int arrays of replica ids, consecutive and at most
+    # BLOCK_LETTERS // letters long, which cover the chunk in order
+    seen = []
+
+    def draw(ids):
+        seen.append(ids)
+        return np.zeros((len(ids), 1))
+    letters = BLOCK_LETTERS // 8
+    assert len(PerBlock(_row_sums, draw, letters)(3, 30)) == 27
+    assert [len(ids) for ids in seen] == [8, 8, 8, 3]
+    assert all(ids.dtype.kind == "i" for ids in seen)
+    assert np.concatenate(seen).tolist() == list(range(3, 30))
+
+
+def test_closures_serve_as_draws_and_kernels():
+    # forked children inherit the chunk function, so nothing has to pickle:
+    # a lambda draw over two streams a replica, as compat mc's is, and a
+    # kernel that closes over a local
+    spec, probs, scale = RngSpec(6), np.linspace(0.1, 0.9, 9), 7.0
+    block = PerBlock(_row_sums, lambda ids: spec.bernoulli_rows(
+        np.stack((2 * ids, 2 * ids + 1), axis=1).ravel(), probs
+    ).reshape(len(ids), 2, -1), 2 * probs.size)
+    replica = PerReplica(lambda g: scale * g.random(), spec)
+    want_block = [(_fresh(6, 2 * k).random(9) < probs).sum()
+                  + (_fresh(6, 2 * k + 1).random(9) < probs).sum()
+                  for k in range(40)]
+    want_replica = [scale * _fresh(6, k).random() for k in range(40)]
+    for workers in (1, 2, 3):
+        assert run_chunked(block, 40, workers).tolist() == want_block
+        assert run_chunked(replica, 40, workers).tolist() == want_replica
+    _no_child_left()
 
 
 def test_estimate_from_samples():
@@ -552,7 +559,7 @@ def test_cli_exit_code_of_killed_child(monkeypatch, capsys):
 
 
 def test_without_fork_every_replica_runs_in_caller(monkeypatch):
-    fn = PerReplica(_uniforms, RngSpec(8), streams=2)
+    fn = PerReplica(_uniforms, RngSpec(8))
     want = run_chunked(fn, 40, 3)
     assert workers_used(40, 3) == 3 and workers_used(2, 3) == 2
     monkeypatch.delattr(os, "fork")
