@@ -450,126 +450,117 @@ def _do_env_kwise(args):
 
 # ------------------------------------------------------------- plumbing ----
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = dict(type=int, required=True)
+_STR = dict(required=True)
+_COMMON = (("--out", dict(default=None, help="output path (default stdout)")),
+           ("--format", dict(choices=("csv", "json"), default="csv")))
+# what a leaf draws: --seed alone, or --seed with --replicas and --workers
+_SEED = (("--seed", dict(type=_seed, default=0,
+                         help="master seed, 0 <= seed < 2^64")),)
+_REPLICAS = _SEED + (("--replicas", dict(type=int, default=10000)),
+                     ("--workers", dict(type=int, default=1)))
+
+# One row per subcommand: group, op, the name of its handler (looked up
+# when the parser is built, so a patched handler is the one that runs),
+# the options it takes for drawing (none, _SEED or _REPLICAS), then its
+# own options in help order.
+LEAVES = (
+    ("embed", "decide", "_do_embed_decide", (),
+     (("--v", _STR), ("--y", _STR), ("--M", _INT))),
+    ("embed", "count", "_do_embed_count", (),
+     (("--v", _STR), ("--y", _STR), ("--M", _INT))),
+    ("embed", "exact", "_do_embed_exact", (),
+     (("--v", _STR), ("--M", _INT),
+      ("--budget", dict(type=int, default=emb.DEFAULT_BUDGET)))),
+    ("embed", "recursion", "_do_embed_recursion", (),
+     (("--M", _INT), ("--n", _INT))),
+    ("embed", "roots", "_do_embed_roots", (), (("--M", _INT),)),
+    ("embed", "scan", "_do_embed_scan", (),
+     (("--n", _INT), ("--M", _INT),
+      ("--budget", dict(type=int, default=emb.DEFAULT_BUDGET)))),
+    ("embed", "moments", "_do_embed_moments", (),
+     (("--n", _INT), ("--M", _INT))),
+    ("embed", "mc", "_do_embed_mc", _REPLICAS,
+     (("--M", _INT), ("--n", _INT),
+      ("--target", dict(default="random", help="random, alternating, "
+                        "constant, or a 0/1 literal")),
+      ("--p-x", dict(type=float, default=0.5)),
+      ("--p-y", dict(type=float, default=0.5)))),
+    ("schedule", "survive", "_do_schedule_survive", _SEED,
+     (("--M", _INT), ("--depth", _INT),
+      ("--x", dict(default=None, help="comma-separated walk values")),
+      ("--y", dict(default=None)))),
+    ("schedule", "curve", "_do_schedule_curve", _REPLICAS,
+     (("--M", _INT), ("--depths", _STR))),
+    ("schedule", "coupling", "_do_schedule_coupling", _REPLICAS,
+     (("--M", _INT), ("--k", _INT), ("--depth", _INT))),
+    ("schedule", "undirected", "_do_schedule_undirected", _REPLICAS,
+     (("--M", _INT), ("--box", _INT))),
+    ("schedule", "kwise", "_do_schedule_kwise", (),
+     (("--vertices", dict(required=True, help="i,j;i,j;...")),
+      ("--M", _INT), ("--max-terms", dict(type=int, default=10_000_000)))),
+    ("compat", "decide", "_do_compat_decide", (),
+     (("--x", _STR), ("--y", _STR))),
+    ("compat", "cert", "_do_compat_cert", (), (("--x", _STR), ("--y", _STR))),
+    ("compat", "mc", "_do_compat_mc", _REPLICAS,
+     (("--p", dict(required=True, help="density or comma list")),
+      ("--n", dict(required=True, help="horizon or comma list")))),
+    ("lattice", "blocks", "_do_lattice_blocks", _REPLICAS,
+     (("--p", _STR), ("--R", _INT))),
+    ("lattice", "embed2d", "_do_lattice_embed2d", _SEED,
+     (("--p", dict(default="1/2")), ("--R", _INT), ("--depth", _INT),
+      ("--word", dict(default=None)),
+      ("--word-length", dict(type=int, default=None)))),
+    ("lattice", "visible", "_do_lattice_visible", (),
+     (("--field", dict(required=True, help="text grid file")),
+      ("--lattice", dict(default="square",
+                         choices=[k.value for k in lat.LatticeKind])),
+      ("--origin", dict(required=True, help="row,col (0-based)")),
+      ("--word", _STR), ("--budget", dict(type=int, default=None)))),
+    ("lattice", "abscan", "_do_lattice_abscan", _REPLICAS,
+     (("--p", dict(default="1/2")), ("--box", _INT),
+      ("--budget", dict(type=int, default=1_000_000)))),
+    ("env", "column", "_do_env_column", _REPLICAS,
+     (("--mu", dict(required=True, help="v1:w1,v2:w2,...")),
+      ("--box", _INT))),
+    ("env", "kwise", "_do_env_kwise", (),
+     (("--pmf", dict(required=True, help="pmf CSV file")), ("--k", _INT))),
+)
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every leaf in LEAVES or, when `only` is the (group,
+    op) of a leaf, of that leaf alone; its usage, help, errors and
+    Namespace are those of the full tree."""
+    leaves = [leaf for leaf in LEAVES if leaf[:2] == only] or LEAVES
     top = argparse.ArgumentParser(
         prog="clairvoyant",
         description="Clairvoyant-demon problems at desk scale: exact "
                     "solvers and seeded Monte Carlo.",
     )
-    groups = top.add_subparsers(dest="group", required=True)
-
-    def leaf(group, name, fn, seed=False, replicas=False):
-        """A subcommand; --seed where it draws, --replicas and --workers
-        (and --seed) where it runs replicas."""
-        p = group.add_parser(name)
-        p.add_argument("--out", default=None,
-                       help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if seed or replicas:
-            p.add_argument("--seed", type=_seed, default=0,
-                           help="master seed, 0 <= seed < 2^64")
-        if replicas:
-            p.add_argument("--replicas", type=int, default=10000)
-            p.add_argument("--workers", type=int, default=1)
-        p.set_defaults(handler=fn)
-        return p
-
-    g = groups.add_parser("embed").add_subparsers(dest="op", required=True)
-    p = leaf(g, "decide", _do_embed_decide)
-    p.add_argument("--v", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p = leaf(g, "count", _do_embed_count)
-    p.add_argument("--v", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p = leaf(g, "exact", _do_embed_exact)
-    p.add_argument("--v", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--budget", type=int, default=emb.DEFAULT_BUDGET)
-    p = leaf(g, "recursion", _do_embed_recursion)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = leaf(g, "roots", _do_embed_roots)
-    p.add_argument("--M", type=int, required=True)
-    p = leaf(g, "scan", _do_embed_scan)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--budget", type=int, default=emb.DEFAULT_BUDGET)
-    p = leaf(g, "moments", _do_embed_moments)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p = leaf(g, "mc", _do_embed_mc, replicas=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", default="random",
-                   help="random, alternating, constant, or a 0/1 literal")
-    p.add_argument("--p-x", type=float, default=0.5)
-    p.add_argument("--p-y", type=float, default=0.5)
-
-    g = groups.add_parser("schedule").add_subparsers(dest="op", required=True)
-    p = leaf(g, "survive", _do_schedule_survive, seed=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--x", default=None, help="comma-separated walk values")
-    p.add_argument("--y", default=None)
-    p = leaf(g, "curve", _do_schedule_curve, replicas=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--depths", required=True)
-    p = leaf(g, "coupling", _do_schedule_coupling, replicas=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p = leaf(g, "undirected", _do_schedule_undirected, replicas=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--box", type=int, required=True)
-    p = leaf(g, "kwise", _do_schedule_kwise)
-    p.add_argument("--vertices", required=True, help="i,j;i,j;...")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--max-terms", type=int, default=10_000_000)
-
-    g = groups.add_parser("compat").add_subparsers(dest="op", required=True)
-    p = leaf(g, "decide", _do_compat_decide)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = leaf(g, "cert", _do_compat_cert)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = leaf(g, "mc", _do_compat_mc, replicas=True)
-    p.add_argument("--p", required=True, help="density or comma list")
-    p.add_argument("--n", required=True, help="horizon or comma list")
-
-    g = groups.add_parser("lattice").add_subparsers(dest="op", required=True)
-    p = leaf(g, "blocks", _do_lattice_blocks, replicas=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--R", type=int, required=True)
-    p = leaf(g, "embed2d", _do_lattice_embed2d, seed=True)
-    p.add_argument("--p", default="1/2")
-    p.add_argument("--R", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--word", default=None)
-    p.add_argument("--word-length", type=int, default=None)
-    p = leaf(g, "visible", _do_lattice_visible)
-    p.add_argument("--field", required=True, help="text grid file")
-    p.add_argument("--lattice", default="square",
-                   choices=[k.value for k in lat.LatticeKind])
-    p.add_argument("--origin", required=True, help="row,col (0-based)")
-    p.add_argument("--word", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p = leaf(g, "abscan", _do_lattice_abscan, replicas=True)
-    p.add_argument("--p", default="1/2")
-    p.add_argument("--box", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
-
-    g = groups.add_parser("env").add_subparsers(dest="op", required=True)
-    p = leaf(g, "column", _do_env_column, replicas=True)
-    p.add_argument("--mu", required=True, help="v1:w1,v2:w2,...")
-    p.add_argument("--box", type=int, required=True)
-    p = leaf(g, "kwise", _do_env_kwise)
-    p.add_argument("--pmf", required=True, help="pmf CSV file")
-    p.add_argument("--k", type=int, required=True)
-
+    # a one-leaf tree still lists every group on the usage line that an
+    # unrecognized-arguments error prints
+    metavar = (None if leaves is LEAVES else
+               "{%s}" % ",".join(dict.fromkeys(leaf[0] for leaf in LEAVES)))
+    groups = top.add_subparsers(dest="group", required=True, metavar=metavar)
+    ops = {}
+    for group, op, handler, draws, options in leaves:
+        if group not in ops:
+            ops[group] = groups.add_parser(group).add_subparsers(
+                dest="op", required=True)
+        p = ops[group].add_parser(op)
+        for flag, kwargs in _COMMON + draws + options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=globals()[handler])
     return top
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line (default sys.argv[1:]) with the parser of the
+    leaf its first two words name, or with the full tree when they name
+    none (top-level or group help, a bad or missing group or op)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return build_parser(tuple(argv[:2])).parse_args(argv)
 
 
 def _serialize(columns, rows, fmt: str) -> bytes:
@@ -611,7 +602,7 @@ def _env(args) -> dict:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     t0 = time.monotonic()
     columns, rows = args.handler(args)
     payload = _serialize(columns, rows, args.format)

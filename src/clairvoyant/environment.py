@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping
 
@@ -150,6 +151,13 @@ class FiniteDistribution:
             "%s:%s" % (p, w) for p, w in zip(self.points, self.weights)
         )
 
+    @cached_property
+    def _float_law(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative weights and points as floats, converted once for
+        every environment sampled from this distribution."""
+        return (np.cumsum([float(w) for w in self.weights]),
+                np.array([float(p) for p in self.points]))
+
 
 @dataclass(frozen=True)
 class ColumnEnvironment:
@@ -164,10 +172,9 @@ def sample_environment(mu: FiniteDistribution, n: int,
                        g: np.random.Generator) -> ColumnEnvironment:
     if n < 1:
         raise ValueError("box size must be >= 1")
-    cum = np.cumsum([float(w) for w in mu.weights])
+    cum, points = mu._float_law
     idx = np.searchsorted(cum, g.random(n), side="right")
-    idx = np.minimum(idx, len(mu.points) - 1)
-    dens = np.array([float(mu.points[i]) for i in idx])
+    dens = points[np.minimum(idx, len(points) - 1)]
     config = g.random((n, n)) < dens[:, None]
     return ColumnEnvironment(mu=mu, densities=dens, config=config)
 

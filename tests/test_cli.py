@@ -158,6 +158,65 @@ def test_readme_cli_block_lists_every_leaf():
                           subcommands(cli.build_parser()).items()}
 
 
+def _subparsers(parser):
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# (group, op, leaf parser) for every leaf of the full tree
+_LEAVES = [(group, op, leaf)
+           for group, ops in _subparsers(cli.build_parser()).items()
+           for op, leaf in _subparsers(ops).items()]
+
+
+def _exit(call, argv, capsys):
+    """Exit code, stdout and stderr of a call that parses argv and exits."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    return (exc.value.code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("group,op,leaf", _LEAVES,
+                         ids=["%s-%s" % leaf[:2] for leaf in _LEAVES])
+def test_one_leaf_parser_matches_full_tree(group, op, leaf, capsys,
+                                           monkeypatch):
+    full = cli.build_parser().parse_args
+    argv = [group, op, "--format", "json"]
+    for action in leaf._actions:
+        if action.required:
+            argv += [action.option_strings[0],
+                     "2" if action.type is int else "01"]
+    assert cli.parse_args(argv) == full(argv)
+    for bad, code in (([group, op], 2), (argv + ["--bogus", "1"], 2),
+                      ([group, op, "--help"], 0)):
+        got = _exit(cli.main, bad, capsys)
+        assert got == _exit(full, bad, capsys) and got[0] == code
+    # the console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["clairvoyant"] + argv)
+    assert cli.parse_args() == full(argv)
+    monkeypatch.setattr(sys, "argv", ["clairvoyant", group, op, "--help"])
+    assert _exit(lambda _: cli.main(), None, capsys) == \
+        _exit(full, [group, op, "--help"], capsys)
+
+
+def test_leaf_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.main(["embed", "roots", "--M", "3"]) == 0
+    assert built == ["embed", "roots"]
+    # help on a group needs every leaf, so it builds the full tree
+    built.clear()
+    assert _exit(cli.main, ["embed", "--help"], capsys)[0] == 0
+    assert len(built) == len(_LEAVES) + len({g for g, _, _ in _LEAVES})
+
+
 def test_recursion_output(tmp_path):
     rows, manifest, _ = run_csv(tmp_path, ["embed", "recursion", "--M", "2",
                                            "--n", "2"])
