@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from typing import Mapping
 
 from ._lazy import np
 from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
-from .runner import PerReplica, run_chunked
+from .runner import PerBlock, run_chunked
 from .stats import Estimate
 
 
@@ -172,11 +172,19 @@ def sample_environment(mu: FiniteDistribution, n: int,
                        g: np.random.Generator) -> ColumnEnvironment:
     if n < 1:
         raise ValueError("box size must be >= 1")
+    dens, config = _environments(mu, n, g.random((1, n + n * n)))
+    return ColumnEnvironment(mu=mu, densities=dens[0], config=config[0])
+
+
+def _environments(mu: FiniteDistribution, n: int, u: np.ndarray):
+    """Column densities and open fields of the environments whose n + n^2
+    uniforms are the rows of u: the first n pick the densities from mu's
+    cumulative weights, the rest open field cell by cell, column by
+    column."""
     cum, points = mu._float_law
-    idx = np.searchsorted(cum, g.random(n), side="right")
+    idx = np.searchsorted(cum, u[:, :n], side="right")
     dens = points[np.minimum(idx, len(points) - 1)]
-    config = g.random((n, n)) < dens[:, None]
-    return ColumnEnvironment(mu=mu, densities=dens, config=config)
+    return dens, u[:, n:].reshape(-1, n, n) < dens[:, :, None]
 
 
 def crosses_horizontally(config: np.ndarray) -> bool:
@@ -187,14 +195,20 @@ def crosses_horizontally(config: np.ndarray) -> bool:
                flood(bits, stride, LatticeKind.SQUARE, (1 << stride) - 1))
 
 
-def _column_replica(g: np.random.Generator, mu: FiniteDistribution,
-                    n: int) -> bool:
-    return crosses_horizontally(sample_environment(mu, n, g).config)
+def _column_block(u: np.ndarray, mu: FiniteDistribution,
+                  n: int) -> np.ndarray:
+    """Block kernel: whether each environment of the block crosses."""
+    return np.array([crosses_horizontally(config)
+                     for config in _environments(mu, n, u)[1]], dtype=bool)
 
 
 def column_percolation_mc(mu: FiniteDistribution, n: int, replicas: int,
                           rng: RngSpec, workers: int = 1) -> Estimate:
     """P(horizontal crossing of the n x n box under environment mu)."""
-    fn = PerReplica(_column_replica, rng, mu=mu, n=n)
+    if n < 1:
+        raise ValueError("box size must be >= 1")
+    letters = n + n * n
+    fn = PerBlock(_column_block, partial(rng.uniform_rows, letters=letters),
+                  letters, mu=mu, n=n)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)

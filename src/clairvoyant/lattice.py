@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 from ._lazy import np
 from .errors import PropertyViolation
 from .rng import RngSpec
-from .runner import PerBlock, PerReplica, run_chunked
+from .runner import PerBlock, run_chunked
 from .stats import Estimate
 from .words import Word, alternating_word, constant_word, pack_mask
 
@@ -393,15 +393,14 @@ class AbScanReport:
 _AB_CODE = {Visibility.ABSENT: 0, Visibility.FOUND: 1, Visibility.EXHAUSTED: 2}
 
 
-def _ab_replica(g: np.random.Generator, p: float, box: int, budget: int,
-                words: tuple[Word, ...]) -> tuple[int, ...]:
-    side = 2 * box + 1
-    cells = (g.random((side, side)) < p).astype(np.uint8)
-    return tuple(
-        _AB_CODE[visible_word(cells, LatticeKind.TRIANGULAR, (box, box), w,
-                              budget)]
-        for w in words
-    )
+def _ab_block(fields: np.ndarray, box: int, budget: int,
+              words: tuple[Word, ...]) -> np.ndarray:
+    """Block kernel: row b holds the `_AB_CODE` of each word on field b."""
+    # uint8 cells, so that visible_word reads them without a copy
+    return np.array([
+        [_AB_CODE[visible_word(cells, LatticeKind.TRIANGULAR, (box, box), w,
+                               budget)] for w in words]
+        for cells in fields.view(np.uint8)])
 
 
 def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
@@ -419,8 +418,11 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
         raise ValueError("box radius must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    fn = PerReplica(_ab_replica, rng, p=p, box=box, budget=budget,
-                    words=(alternating_word(box), constant_word(box)))
+    side = 2 * box + 1
+    probs = np.full((side, side), p)
+    fn = PerBlock(_ab_block, partial(rng.bernoulli_rows, probs=probs),
+                  probs.size, box=box, budget=budget,
+                  words=(alternating_word(box), constant_word(box)))
     codes = run_chunked(fn, replicas, workers)
     return AbScanReport(
         p=p,

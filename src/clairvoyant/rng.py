@@ -1,27 +1,27 @@
 """Counter-based random streams.
 
 Every Monte Carlo entry point in the package takes an :class:`RngSpec`
-instead of a bare seed; replica kernels, and the samplers they call, take
-the ``numpy.random.Generator`` they draw from.  The pair ``(master_seed,
-stream_id)`` keys a Philox generator, so each replica draws from streams
-of its own, independent of every other replica's and of how the replicas
-are distributed over worker processes.
+instead of a bare seed, and draws each replica from streams of its own:
+the pair ``(master_seed, stream_id)`` keys a Philox generator, so what a
+replica draws is independent of every other replica's and of how the
+replicas are distributed over worker processes.
 
 Philox is counter-based: its whole state is the key, a counter and a small
 output buffer.  Setting the key and zeroing the rest therefore gives the
 stream a freshly built ``Philox(key)`` gives, draw for draw, at a
 twentieth of the cost.  Stream ids cross this module's boundary in one
 form, an array of ids (any iterable of ints, in any order and with
-repeats), and both ways of drawing a stream refuse an id outside [0,
-2^64) alike.  :meth:`RngSpec.generators` rewinds one generator to each
-stream of the array in turn.  :meth:`RngSpec.bernoulli_rows` draws the
-streams into one matrix, row i holding what the i-th stream would draw;
-the first letters of a stream do not depend on how many follow, so a
-kernel can redraw a few of its streams longer.  Short rows come from one
+repeats), and every way of drawing a stream refuses an id outside [0,
+2^64) alike.  :meth:`RngSpec.uniform_rows` draws the streams' uniforms
+into one matrix, row i holding what the i-th stream's ``random`` would
+give; the first letters of a stream do not depend on how many follow, so
+a kernel can redraw a few of its streams longer.  Short rows come from one
 numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
 bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
-`generators`.  :meth:`RngSpec.generator` builds a fresh generator for
-one-off draws.
+:meth:`RngSpec.generators`, which rewinds one generator to each stream of
+the array in turn and also serves draws other than uniforms.
+:meth:`RngSpec.bernoulli_rows` compares uniform rows with densities, and
+:meth:`RngSpec.generator` builds a fresh generator for one-off draws.
 """
 
 from __future__ import annotations
@@ -168,41 +168,40 @@ class RngSpec:
             return gen
         return map(rewound, ids)
 
+    def uniform_rows(self, ids, letters: int) -> np.ndarray:
+        """Uniforms on [0, 1), one float64 row of letters per stream id.
+
+        Row i equals ``self.stream(k_i).generator().random(letters)`` for
+        the i-th id k_i.  Rows of at most ``BATCHED_LETTERS`` letters come
+        from `_philox_words`, at most ``_LANES`` lanes a pass, as numpy
+        makes a uniform of a raw word x: ``(x >> 11) 2^-53``.  Longer rows
+        come from numpy's ``random`` on `generators`.
+        """
+        ids = _id_array(ids)
+        u = np.empty((len(ids), letters))
+        if letters > BATCHED_LETTERS:
+            for row, gen in zip(u, self.generators(ids)):
+                gen.random(out=row)
+            return u
+        seed = self.master_seed & _MASK64
+        blocks = -(-letters // 4)
+        step = _LANES // max(1, blocks)
+        for a in range(0, len(ids), step):
+            words = _philox_words(seed, ids[a:a + step], blocks)
+            words >>= np.uint64(11)
+            np.multiply(words[:, :letters], 2.0 ** -53, out=u[a:a + step])
+        return u
+
     def bernoulli_rows(self, ids, probs) -> np.ndarray:
         """Bernoulli draws, one bool row per stream id in ids.
 
         Row i equals ``self.stream(k_i).generator().random(probs.shape) <
         probs`` for the i-th id k_i, in a matrix of shape ``(len(ids),) +
-        probs.shape``: the first letters of a stream are the same however
-        many follow, so redrawing a stream longer extends its row.
-
-        Rows of at most ``BATCHED_LETTERS`` letters come from
-        `_philox_words`, at most ``_LANES`` lanes a pass, and compare in
-        integers: a uniform is ``u = (x >> 11) 2^-53`` for the raw word x,
-        so ``u < p`` exactly when ``x >> 11 < ceil(p 2^53)``.  Longer rows
-        come from numpy's ``random`` on `generators`.
+        probs.shape``.  A NaN density gives false, as ``u < NaN`` does.
         """
-        ids = _id_array(ids)
         probs = np.asarray(probs, dtype=float)
-        shape = (len(ids),) + probs.shape
-        if probs.size > BATCHED_LETTERS:
-            u = np.empty((len(ids), probs.size))
-            for row, gen in zip(u, self.generators(ids)):
-                gen.random(out=row)
-            return u.reshape(shape) < probs
-        seed = self.master_seed & _MASK64
-        # fmax and fmin send a NaN density to 0: u < NaN is false
-        unit = np.fmin(np.fmax(probs.ravel(), 0.0), 1.0)
-        thresholds = np.ceil(unit * 2.0 ** 53).astype(np.uint64)
-        blocks = -(-probs.size // 4)
-        step = _LANES // max(1, blocks)
-        rows = np.empty((len(ids), probs.size), dtype=bool)
-        for a in range(0, len(ids), step):
-            words = _philox_words(seed, ids[a:a + step], blocks)
-            words >>= np.uint64(11)
-            np.less(words[:, :probs.size], thresholds,
-                    out=rows[a:a + step])
-        return rows.reshape(shape)
+        u = self.uniform_rows(ids, probs.size)
+        return u.reshape((len(u),) + probs.shape) < probs
 
 
 def _id_array(ids) -> np.ndarray:

@@ -23,27 +23,19 @@ with the same rows.  On Python 3.12 and later ``os.fork`` warns with a
 DeprecationWarning when another thread is alive, as numpy's OpenBLAS
 threads can be.
 
-Entry points take the `RngSpec`; kernels take what they draw from.  A
-model builds its chunk function from one of two kinds of kernel:
+Entry points take the `RngSpec`; kernels take what was drawn from it.  A
+model builds its chunk function as ``PerBlock(kernel, draw, letters,
+**params)``, which runs a block kernel
 
-* ``PerReplica(kernel, rng, **params)`` runs a one-replica kernel
+    kernel(rows: np.ndarray, **params) -> array
 
-      kernel(g: np.random.Generator, **params) -> row
-
-  once per replica k, with ``g`` at the start of stream k (from
-  ``rng.generators``).  The kernel returns a bool, an int, a tuple of
-  them, or arrays of one shape for every replica, and must not keep
-  ``g`` past its return: the same generator is rewound for every replica.
-* ``PerBlock(kernel, draw, letters, **params)`` runs a block kernel
-
-      kernel(rows: np.ndarray, **params) -> array
-
-  on blocks of at most ``BLOCK_LETTERS // letters`` replicas (and at
-  least one), where ``letters`` is what one replica draws.  A draw takes
-  the block's replica ids, an int array, and returns one row per id from
-  that replica's own streams, as
-  ``functools.partial(rng.bernoulli_rows, probs=probs)`` does; the kernel
-  returns one result per row.
+on blocks of at most ``BLOCK_LETTERS // letters`` replicas (and at least
+one), where ``letters`` is what one replica draws.  A draw takes the
+block's replica ids, an int array, and returns one row per id from that
+replica's own streams, as ``functools.partial(rng.bernoulli_rows,
+probs=probs)`` or ``functools.partial(rng.uniform_rows, letters=n)``
+does; the kernel returns one result per row.  Sampling happens only in
+the draw, so the kernel sees nothing of the streams.
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ import signal
 from typing import Callable
 
 from ._lazy import np
-from .rng import RngSpec
 
 ChunkFn = Callable[[int, int], "np.ndarray"]
 DrawFn = Callable[["np.ndarray"], "np.ndarray"]
@@ -62,24 +53,6 @@ DrawFn = Callable[["np.ndarray"], "np.ndarray"]
 # The most letters PerBlock draws into one block: 512 KiB of float64
 # uniforms or int64 walk values.
 BLOCK_LETTERS = 1 << 16
-
-
-class PerReplica:
-    """Chunk function of a one-replica kernel: row k is func(g_k).
-
-    ``g_k`` is the generator `RngSpec.generators` yields for stream k.
-    The kernel sits in ``func``, the attribute name `functools.partial`
-    uses, so tools that look through partials see the kernel's module.
-    """
-
-    def __init__(self, func: Callable, rng: RngSpec, **params):
-        self.func = func
-        self.rng = rng
-        self.params = params
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.func(g, **self.params)
-                         for g in self.rng.generators(range(lo, hi))])
 
 
 class PerBlock:
@@ -90,8 +63,9 @@ class PerBlock:
     letters (one row, at least, per block) by ``draw(ids)``, with ids the
     block's replica ids, and each block goes to ``func(rows, **params)``;
     row k of the result is the kernel's result for replica k's draws,
-    however the replicas are chunked.  Like `PerReplica`, the kernel sits
-    in ``func``.
+    however the replicas are chunked.  The kernel sits in ``func``, the
+    attribute name `functools.partial` uses, so tools that look through
+    partials see the kernel's module.
     """
 
     def __init__(self, func: Callable, draw: DrawFn, letters: int,

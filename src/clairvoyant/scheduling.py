@@ -49,7 +49,7 @@ from .environment import JointPmf
 from .errors import BudgetError, PropertyViolation
 from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
-from .runner import PerBlock, PerReplica, run_chunked
+from .runner import PerBlock, run_chunked
 from .stats import Estimate
 from .words import pack_mask, unpack_mask
 
@@ -379,8 +379,10 @@ def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
                flood(bits, stride, LatticeKind.SQUARE, 1))
 
 
-def _escape_replica(g: np.random.Generator, M: int, box: int) -> bool:
-    return undirected_escape(sample_grid(M, box, g), box)
+def _escape_block(walks: np.ndarray, M: int, box: int) -> np.ndarray:
+    """Block kernel: whether each walk pair's cluster escapes the box."""
+    return np.array([undirected_escape(ScheduleGrid(x, y, M), box)
+                     for x, y in walks], dtype=bool)
 
 
 def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
@@ -388,7 +390,10 @@ def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
     """Escape frequency of the undirected open cluster from the origin."""
     if box < 0:
         raise ValueError("box must be >= 0")
-    fn = PerReplica(_escape_replica, rng, M=M, box=box)
+    if M < 2:
+        raise ValueError("alphabet size M must be >= 2")
+    walks = partial(_walk_rows, rng=rng, M=M, depth=box)
+    fn = PerBlock(_escape_block, walks, 2 * (box + 1), M=M, box=box)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 

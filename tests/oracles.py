@@ -11,7 +11,7 @@ enumerate.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,9 +376,11 @@ def brute_kwise_joint(vertices, M):
     return {o: Fraction(c, terms) for o, c in counts.items()}
 
 
-# One replica of each Monte Carlo model the package draws a block of
-# replicas at a time for, from that replica's own stream: what the package
-# computed per replica before it drew in blocks.
+# One replica of each Monte Carlo model, drawn from a fresh generator of
+# that replica's own stream, one draw after another: what the package
+# computed per replica before every model drew its replicas in blocks.
+# The package's chunk functions must give these rows, however the
+# replicas are cut into chunks and blocks.
 
 def fixed_word_replica(spec, v_letters, M, p_y):
     y = spec.generator().random(M * len(v_letters)) < p_y
@@ -412,3 +414,40 @@ def horizon_replica(spec, p, N):
 def good_block_replica(spec, p, R):
     block = spec.generator().random((R, R)) < p
     return bool(block.any() and (~block).any())
+
+
+_TRIANGULAR = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+_AB_CODES = {"absent": 0, "found": 1, "budget-exhausted": 2}
+
+
+def ab_replica(spec, p, box, budget):
+    """Outcome codes (0 absent, 1 found, 2 budget exhausted) of the
+    alternating word 0101... and the constant word 11...1, both of length
+    box, read from the centre of a (2 box + 1)^2 triangular field."""
+    side = 2 * box + 1
+    cells = (spec.generator().random((side, side)) < p).astype(np.uint8)
+    words = (tuple(i % 2 for i in range(box)), (1,) * box)
+    return tuple(_AB_CODES[budgeted_visible_word(
+        cells, _TRIANGULAR, (box, box), w, budget)[0]] for w in words)
+
+
+def column_replica(spec, mu, n):
+    """Whether an n x n column environment crosses: n column densities
+    drawn from mu by inverting its cumulative weights, as floats, then the
+    n^2 cells column by column."""
+    g = spec.generator()
+    cum = list(accumulate(float(w) for w in mu.weights))
+    dens = [float(next((p for p, c in zip(mu.points, cum) if u < c),
+                       mu.points[-1])) for u in g.random(n)]
+    return brute_crossing(g.random((n, n)) < np.array(dens)[:, None])
+
+
+def escape_replica(spec, M, box):
+    """Whether the origin's open cluster of two walks on {1..M}, box + 1
+    values each and x drawn first, reaches row or column box."""
+    g = spec.generator()
+    x = g.integers(1, M + 1, size=box + 1)
+    y = g.integers(1, M + 1, size=box + 1)
+    grid = SimpleNamespace(
+        is_open=lambda i, j: (i, j) == (0, 0) or x[i] != y[j])
+    return brute_escape(grid, box)

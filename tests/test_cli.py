@@ -529,6 +529,9 @@ _SAYS = {
         "max_terms must be >= 0",
     "lattice embed2d --R 2 --depth 2 --word-length -1": "n must be >= 0",
     "schedule undirected --M 2 --box -1 --replicas 5": "box must be >= 0",
+    "schedule undirected --M 1 --box 3 --replicas 5":
+        "alphabet size M must be >= 2",
+    "env column --mu 0.4:1 --box 0 --replicas 5": "box size must be >= 1",
     "schedule curve --M 1 --depths 5 --replicas 3":
         "alphabet size M must be >= 2",
     "schedule curve --M 0 --depths 5 --replicas 3":
@@ -590,6 +593,9 @@ _SAYS = {
     "schedule kwise --vertices 1,1 --M 3 --max-terms -1",
     "lattice embed2d --R 2 --depth 2 --word-length -1",
     "schedule undirected --M 2 --box -1 --replicas 5",
+    # refused before any replica is drawn
+    "schedule undirected --M 1 --box 3 --replicas 5",
+    "env column --mu 0.4:1 --box 0 --replicas 5",
     "schedule curve --M 1 --depths 5 --replicas 3",
     "schedule curve --M 0 --depths 5 --replicas 3",
     "schedule curve --M 4 --depths , --replicas 3",

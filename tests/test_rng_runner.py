@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clairvoyant as cv
-from clairvoyant import cli, compatibility, rng
+from clairvoyant import (cli, compatibility, environment, lattice, rng,
+                         scheduling)
 from clairvoyant.errors import BudgetError, PropertyViolation
 from clairvoyant.environment import FiniteDistribution
 from clairvoyant.rng import RngSpec
-from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, PerReplica,
-                                chunk_bounds, run_chunked, workers_used)
+from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, chunk_bounds,
+                                run_chunked, workers_used)
 from clairvoyant.stats import Estimate
+
+from oracles import ab_replica, column_replica, escape_replica
 
 
 def test_rng_reproducible():
@@ -87,34 +90,44 @@ def test_bernoulli_rows_refuse_stream_ids_past_64_bits(letters):
 _IDS = [9, 2, 2**64 - 1, 9, 0, 40, 2**64 - 1, 7, 2**63]
 
 
-@pytest.mark.parametrize("letters", [0, 3, rng.BATCHED_LETTERS,
+@pytest.mark.parametrize("letters", [0, 1, 3, rng.BATCHED_LETTERS - 1,
+                                     rng.BATCHED_LETTERS,
                                      rng.BATCHED_LETTERS + 1, 200])
 @pytest.mark.parametrize("seed", [1, 2**64 - 1])
 def test_bernoulli_rows_of_id_arrays_equal_fresh_philox(seed, letters):
     # unsorted, repeated and non-contiguous ids, up to 2^64 - 1, as a list
-    # and as a uint64 array; the small ones also as int64
+    # and as a uint64 array; the small ones also as int64.  The uniform
+    # rows the Bernoulli rows compare are numpy's random(), bit for bit
     probs = np.linspace(0.0, 1.0, letters)
     small = [k for k in _IDS if k < 2**63]
     for ids in (_IDS, np.array(_IDS, dtype=np.uint64),
                 np.array(small, dtype=np.int64)):
         rows = RngSpec(seed).bernoulli_rows(ids, probs)
+        uniforms = RngSpec(seed).uniform_rows(ids, letters)
         assert rows.shape == (len(ids), letters) and rows.dtype == bool
-        for row, k in zip(rows, ids):
-            want = RngSpec(seed, int(k)).generator().random(letters) < probs
-            assert (row == want).all(), (k, letters)
+        assert uniforms.shape == (len(ids), letters)
+        assert uniforms.dtype == np.float64
+        for row, u, k in zip(rows, uniforms, ids):
+            want = RngSpec(seed, int(k)).generator().random(letters)
+            assert np.array_equal(u, want), (k, letters)
+            assert (row == (want < probs)).all(), (k, letters)
     for empty in ([], np.zeros(0, dtype=np.uint64)):
         assert RngSpec(seed).bernoulli_rows(empty, probs).shape \
+            == (0, letters)
+        assert RngSpec(seed).uniform_rows(empty, letters).shape \
             == (0, letters)
 
 
 @pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
 def test_bernoulli_rows_refuse_ids_outside_64_bits(letters):
-    # generators refuses the same ids, in the same words
+    # uniform_rows and generators refuse the same ids, in the same words
     probs = np.full(letters, 0.5)
     for ids in ([2**64], [3, 2**64 + 5], [-1], [2**64 - 1, -1],
                 np.array([5, -2]), (2**70,)):
         with pytest.raises(ValueError, match=r"2\^64"):
             RngSpec(1).bernoulli_rows(ids, probs)
+        with pytest.raises(ValueError, match=r"2\^64"):
+            RngSpec(1).uniform_rows(ids, letters)
         with pytest.raises(ValueError, match=r"2\^64"):
             RngSpec(1).generators(ids)
 
@@ -304,14 +317,16 @@ def test_bernoulli_rows_across_threads():
     assert bad == []
 
 
-def _uniforms(g):
-    return g.random(), g.random()
+def _uniform_block(seed, letters):
+    # the identity kernel: row k is what stream k's random(letters) gives
+    draw = partial(RngSpec(seed).uniform_rows, letters=letters)
+    return PerBlock(np.asarray, draw, letters)
 
 
-def test_per_replica_row_k_is_its_stream():
+def test_per_block_of_uniform_rows_row_k_is_its_stream():
     want = [tuple(_fresh(8, k).random(2)) for k in range(40)]
     for workers in (1, 2, 3):
-        got = run_chunked(PerReplica(_uniforms, RngSpec(8)), 40, workers)
+        got = run_chunked(_uniform_block(8, 2), 40, workers)
         assert list(map(tuple, got.tolist())) == want
 
 
@@ -375,7 +390,8 @@ def test_closures_serve_as_draws_and_kernels():
     block = PerBlock(_row_sums, lambda ids: spec.bernoulli_rows(
         np.stack((2 * ids, 2 * ids + 1), axis=1).ravel(), probs
     ).reshape(len(ids), 2, -1), 2 * probs.size)
-    replica = PerReplica(lambda g: scale * g.random(), spec)
+    replica = PerBlock(lambda rows: scale * rows[:, 0],
+                       lambda ids: spec.uniform_rows(ids, 1), 1)
     want_block = [(_fresh(6, 2 * k).random(9) < probs).sum()
                   + (_fresh(6, 2 * k + 1).random(9) < probs).sum()
                   for k in range(40)]
@@ -559,7 +575,7 @@ def test_cli_exit_code_of_killed_child(monkeypatch, capsys):
 
 
 def test_without_fork_every_replica_runs_in_caller(monkeypatch):
-    fn = PerReplica(_uniforms, RngSpec(8))
+    fn = _uniform_block(8, 2)
     want = run_chunked(fn, 40, 3)
     assert workers_used(40, 3) == 3 and workers_used(2, 3) == 2
     monkeypatch.delattr(os, "fork")
@@ -625,3 +641,48 @@ def test_ab_scan_pinned_at_benchmark_shape(workers):
     ab = cv.ab_scan(0.5, 60, 80, RngSpec(1), budget=5000, workers=workers)
     assert (_successes(ab.alternating), _successes(ab.constant),
             ab.alternating_exhausted, ab.constant_exhausted) == (79, 49, 0, 18)
+
+
+_MU = FiniteDistribution.parse("0.4:1/2,0.8:1/2")
+
+# (module, entry point run on a replica count and a spec, the oracle of
+# one replica, letters a replica draws): abscan's box 3 field is batched
+# and its box 6 one is not, env column's box 7 sits on BATCHED_LETTERS
+_MODELS = {
+    "abscan-box3": (lattice, partial(cv.ab_scan, 0.5, 3, budget=20),
+                    partial(ab_replica, p=0.5, box=3, budget=20), 7 * 7),
+    "abscan-box6": (lattice, partial(cv.ab_scan, 0.5, 6, budget=20),
+                    partial(ab_replica, p=0.5, box=6, budget=20), 13 * 13),
+    "column-box6": (environment, partial(cv.column_percolation_mc, _MU, 6),
+                    partial(column_replica, mu=_MU, n=6), 6 + 6 * 6),
+    "column-box7": (environment, partial(cv.column_percolation_mc, _MU, 7),
+                    partial(column_replica, mu=_MU, n=7), 7 + 7 * 7),
+    "column-box8": (environment, partial(cv.column_percolation_mc, _MU, 8),
+                    partial(column_replica, mu=_MU, n=8), 8 + 8 * 8),
+    "undirected": (scheduling, partial(cv.undirected_mc, 3, 30),
+                   partial(escape_replica, M=3, box=30), 2 * 31),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_chunk_functions_equal_per_replica_oracles(monkeypatch, model):
+    # the entry point's chunk function, run on uneven cuts of the replica
+    # range: one inside the first block, one across a block boundary, one
+    # ending inside the second block
+    module, run, replica, letters = _MODELS[model]
+    rows = BLOCK_LETTERS // letters                # replicas in one block
+    cuts = (0, 3, rows + 5, rows + 40)
+    got = []
+
+    def chunked(fn, replicas, workers=1):
+        assert isinstance(fn, PerBlock) and replicas == cuts[-1]
+        got.append(np.concatenate([fn(a, b) for a, b
+                                   in zip(cuts, cuts[1:])]))
+        return got[-1]
+    monkeypatch.setattr(module, "run_chunked", chunked)
+    spec = RngSpec(23)
+    run(cuts[-1], spec)
+    want = [replica(spec.stream(k)) for k in range(cuts[-1])]
+    assert got[0].tolist() == [list(w) if isinstance(w, tuple) else w
+                               for w in want]
+    assert len(set(want)) > 1                      # not one outcome only
