@@ -225,7 +225,16 @@ def _do_schedule_survive(args):
     return ["survived", "path"], [row]
 
 
+def _check_walk_letters(letters: int, flags: str) -> None:
+    """Refuse, before any draw, walks on more letters than numpy's int64
+    integers can take: they would fail deep in the draw, naming no flag."""
+    if letters >= 1 << 63:
+        raise ValueError("%s must be below 2^63: walk values are drawn as "
+                         "int64" % flags)
+
+
 def _do_schedule_curve(args):
+    _check_walk_letters(args.M, "--M")
     depths = _parse_ints(args.depths)
     ests = sched.survival_curve_mc(args.M, depths, args.replicas, _rng(args),
                                    workers=args.workers)
@@ -237,6 +246,7 @@ def _do_schedule_curve(args):
 
 
 def _do_schedule_coupling(args):
+    _check_walk_letters(args.k * args.M, "--k times --M")
     rep = sched.coupling_check(args.M, args.k, args.depth, args.replicas,
                                _rng(args), workers=args.workers)
     row = {
@@ -252,6 +262,7 @@ def _do_schedule_coupling(args):
 
 
 def _do_schedule_undirected(args):
+    _check_walk_letters(args.M, "--M")
     est = sched.undirected_mc(args.M, args.box, args.replicas, _rng(args),
                               workers=args.workers)
     row = {"M": str(args.M), "box": str(args.box)}

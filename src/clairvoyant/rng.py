@@ -19,14 +19,19 @@ a kernel can redraw a few of its streams longer.  Short rows come from one
 numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
 bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
 :meth:`RngSpec.generators`, which rewinds one generator to each stream of
-the array in turn and also serves draws other than uniforms.
-:meth:`RngSpec.bernoulli_rows` compares uniform rows with densities, and
-:meth:`RngSpec.generator` builds a fresh generator for one-off draws.
+the array in turn.  :meth:`RngSpec.bernoulli_rows` compares uniform rows
+with densities.  :meth:`RngSpec.integer_rows` draws what each stream's
+``integers(1, M + 1)`` gives: it maps the rows' raw words in one pass, as
+numpy does by Lemire's multiply-and-shift ``((u M) >> 32) + 1``, and
+hands back to numpy only the rows where it would reject a value and draw
+again.  :meth:`RngSpec.generator` builds a fresh generator for one-off
+draws.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,7 +49,8 @@ _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _ROUNDS = 10
 
-# Rows of at most this many letters come from the batched pass.  On a
+# Rows of at most this many letters, or raw words for integer_rows, come
+# from the batched pass.  On a
 # 2-vCPU x86 VM (best of 25 to 30, blocks of 2^16 letters, four runs) the
 # pass costs about 35 ns a letter, and numpy's C Philox rewound per stream
 # about 1.5 us a stream plus 6 to 10 ns a letter: they meet between 52 and
@@ -119,6 +125,38 @@ def _philox_words(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * blocks)
 
 
+def _batched_words(seed: int, ids: np.ndarray, words: int):
+    """(a, raw) per pass of `_philox_words`, at most ``_LANES`` lanes a
+    pass: raw holds at least words raw words of ids[a], ids[a + 1], ..."""
+    seed &= _MASK64
+    blocks = -(-words // 4)
+    step = _LANES // max(1, blocks)
+    for a in range(0, len(ids), step):
+        yield a, _philox_words(seed, ids[a:a + step], blocks)
+
+
+def _bounded(raw: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
+    """Fill out with what numpy's ``integers(1, M + 1)``, 1 <= M <= 2^32,
+    makes of the uint32 halves of raw, row by row and low half first,
+    were it never to draw again; return, per row, whether it would."""
+    # as little-endian words, the halves come out low first on any host
+    half = raw.astype("<u8", copy=False).view("<u4")[:, :out.shape[1]]
+    # the products u M < 2^64, and the values, in out's own memory
+    m = out.view(np.uint64)
+    np.multiply(half, np.uint64(M), out=m, dtype=np.uint64)
+    threshold = (2**32 - M) % M
+    if threshold:
+        # the products' low halves, read in place: a copy of them would
+        # cost a page fault per 4 KiB whenever malloc has just trimmed
+        low = m.view(np.uint32)[:, int(sys.byteorder == "big")::2]
+        again = (low < np.uint32(threshold)).any(axis=1)
+    else:
+        again = np.zeros(len(m), bool)
+    m >>= np.uint64(32)
+    m += np.uint64(1)
+    return again
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """A reproducible random stream: master seed plus stream id."""
@@ -183,14 +221,50 @@ class RngSpec:
             for row, gen in zip(u, self.generators(ids)):
                 gen.random(out=row)
             return u
-        seed = self.master_seed & _MASK64
-        blocks = -(-letters // 4)
-        step = _LANES // max(1, blocks)
-        for a in range(0, len(ids), step):
-            words = _philox_words(seed, ids[a:a + step], blocks)
+        for a, words in _batched_words(self.master_seed, ids, letters):
             words >>= np.uint64(11)
-            np.multiply(words[:, :letters], 2.0 ** -53, out=u[a:a + step])
+            np.multiply(words[:, :letters], 2.0 ** -53,
+                        out=u[a:a + len(words)])
         return u
+
+    def integer_rows(self, ids, M: int, count: int) -> np.ndarray:
+        """Integers on {1..M}, one int64 row of count per stream id.
+
+        Row i equals ``self.stream(k_i).generator().integers(1, M + 1,
+        size=count)`` for the i-th id k_i, for 1 <= M < 2^63.  For M up
+        to 2^32 numpy maps each uint32 u of the stream, the low half of a
+        raw word first, to ``((u M) >> 32) + 1`` (Lemire, "Fast random
+        integer generation in an interval", TOMACS 2019), and draws u
+        again when ``(u M) mod 2^32 < (2^32 - M) mod M``.  Here each row's
+        ceil(count / 2) raw words come from `_philox_words` when there are
+        at most ``BATCHED_LETTERS`` of them and from the rewound Philox
+        otherwise, every value is mapped in one pass, and only a row where
+        some value would be drawn again is redrawn by numpy's own
+        ``integers``, as is every row for M past 2^32.
+        """
+        ids = _id_array(ids)
+        M = operator.index(M)
+        if not 1 <= M < 1 << 63:
+            raise ValueError("M must lie in [1, 2^63)")
+        rows = np.empty((len(ids), count), np.int64)
+        redraw = np.ones(len(ids), bool)
+        if M <= 1 << 32:
+            words = -(-count // 2)
+            if words > BATCHED_LETTERS:
+                raw = np.empty((len(ids), words), np.uint64)
+                for row, gen in zip(raw, self.generators(ids)):
+                    row[:] = gen.bit_generator.random_raw(words)
+                chunks = [(0, raw)]
+            else:
+                chunks = _batched_words(self.master_seed, ids, words)
+            for a, raw in chunks:
+                b = a + len(raw)
+                redraw[a:b] = _bounded(raw, M, rows[a:b])
+        if redraw.any():
+            for i, gen in zip(np.flatnonzero(redraw),
+                              self.generators(ids[redraw])):
+                rows[i] = gen.integers(1, M + 1, size=count)
+        return rows
 
     def bernoulli_rows(self, ids, probs) -> np.ndarray:
         """Bernoulli draws, one bool row per stream id in ids.

@@ -94,8 +94,9 @@ def _walks(g: np.random.Generator, M: int,
 
 def _walk_rows(ids, rng: RngSpec, M: int, depth: int) -> np.ndarray:
     """Draw of `PerBlock`: row i holds the walks x and y that stream ids[i]
-    gives, drawn as `sample_grid` draws them."""
-    return np.array([_walks(g, M, depth) for g in rng.generators(ids)])
+    gives, drawn as `sample_grid` draws them.  x and then y from one
+    generator are the values of one draw of both, 2(depth + 1) long."""
+    return rng.integer_rows(ids, M, 2 * (depth + 1)).reshape(-1, 2, depth + 1)
 
 
 def sample_grid(M: int, depth: int, g: np.random.Generator) -> ScheduleGrid:

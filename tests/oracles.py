@@ -402,6 +402,24 @@ def curve_replica(spec, M, max_depth):
                                                        depth=max_depth))
 
 
+def coupling_replica(spec, M, k, depth):
+    """(whether a cell open in the reduced grid is closed in the big one,
+    whether the reduced grid survives to depth, whether the big one does)
+    for two walks on {1..kM} with depth + 1 values each, x drawn first,
+    and their reductions (value - 1) mod M + 1 onto {1..M}."""
+    g = spec.generator()
+    x = g.integers(1, k * M + 1, size=depth + 1)
+    y = g.integers(1, k * M + 1, size=depth + 1)
+    rx, ry = (x - 1) % M + 1, (y - 1) % M + 1
+    broken = any(x[i] == y[j] and rx[i] != ry[j]
+                 for i in range(depth + 1) for j in range(depth + 1))
+
+    def survives(a, b):
+        return antidiagonal_survival_depth(
+            SimpleNamespace(x=a, y=b, depth=depth)) == depth
+    return broken, survives(rx, ry), survives(x, y)
+
+
 def horizon_replica(spec, p, N):
     """Largest compatible horizon <= N of replica k = spec.stream_id: x
     from stream 2k and y from stream 2k + 1, each from a fresh generator."""

@@ -548,6 +548,12 @@ _SAYS = {
         "8388608",
     "embed moments --n 1 --M 2897":
         "refused: the offset DP needs 8392609 steps",
+    "schedule curve --M 9223372036854775808 --depths 5 --replicas 3":
+        "--M must be below 2^63",
+    "schedule undirected --M 100000000000000000000 --box 3 --replicas 3":
+        "--M must be below 2^63",
+    "schedule coupling --M 4611686018427387904 --k 2 --depth 3 "
+    "--replicas 3": "--k times --M must be below 2^63",
 }
 
 
@@ -608,6 +614,12 @@ _SAYS = {
     # in n and in M: refused before the DP starts
     "embed moments --n 1449 --M 2",
     "embed moments --n 1 --M 2897",
+    # walk values are int64: 2^63 letters, or k M = 2^62 * 2, are refused
+    # before any draw, where numpy said "high is out of bounds for int64"
+    "schedule curve --M 9223372036854775808 --depths 5 --replicas 3",
+    "schedule undirected --M 100000000000000000000 --box 3 --replicas 3",
+    "schedule coupling --M 4611686018427387904 --k 2 --depth 3 "
+    "--replicas 3",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:

@@ -19,7 +19,8 @@ from clairvoyant.runner import (BLOCK_LETTERS, PerBlock, chunk_bounds,
                                 run_chunked, workers_used)
 from clairvoyant.stats import Estimate
 
-from oracles import ab_replica, column_replica, escape_replica
+from oracles import (ab_replica, column_replica, coupling_replica,
+                     escape_replica)
 
 
 def test_rng_reproducible():
@@ -129,7 +130,81 @@ def test_bernoulli_rows_refuse_ids_outside_64_bits(letters):
         with pytest.raises(ValueError, match=r"2\^64"):
             RngSpec(1).uniform_rows(ids, letters)
         with pytest.raises(ValueError, match=r"2\^64"):
+            RngSpec(1).integer_rows(ids, 4, letters)
+        with pytest.raises(ValueError, match=r"2\^64"):
             RngSpec(1).generators(ids)
+
+
+# M = 3 * 2^30 rejects a uint32 u when (u M) mod 2^32 < 2^30, one u in
+# four; 2^31 + 1 about one in two, and 3, 6 and 7 almost never
+_REJECTING = 3 * 2**30
+
+
+def _integers(seed, k, M, count):
+    return _fresh(seed, k).integers(1, M + 1, size=count)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 6, 7, 2**31 + 1, _REJECTING, 2**32,
+                               2**32 + 1])
+def test_integer_rows_equal_fresh_philox(monkeypatch, M):
+    # counts 1 and 2, then odd and even counts on both sides of the
+    # 2 BATCHED_LETTERS uint32 halves the batched pass serves
+    two = 2 * rng.BATCHED_LETTERS
+    ids = [0, 2**64 - 1, 5, 0]
+    for count in (0, 1, 2, two - 1, two, two + 1, two + 2, 301):
+        for seed in (1, 2**64 - 1):
+            rows = RngSpec(seed).integer_rows(ids, M, count)
+            assert rows.shape == (len(ids), count)
+            assert rows.dtype == np.int64
+            for row, k in zip(rows, ids):
+                assert np.array_equal(row, _integers(seed, k, M, count)), \
+                    (k, count)
+    for empty in ([], np.zeros(0, dtype=np.uint64)):
+        assert RngSpec(1).integer_rows(empty, M, 3).shape == (0, 3)
+    # only the rows numpy draws again go back to numpy, through
+    # generators, and past 2^32 every row does
+    redrawn = []
+    generators = RngSpec.generators
+
+    def spy(self, ids):
+        redrawn.extend(rng._id_array(ids).tolist())
+        return generators(self, ids)
+    monkeypatch.setattr(RngSpec, "generators", spy)
+    RngSpec(1).integer_rows(range(200), M, 3)
+    if M > 2**32:
+        assert redrawn == list(range(200))
+    elif M in (2, 4, 2**32):
+        assert redrawn == []
+
+
+@pytest.mark.parametrize("M, count", [
+    (_REJECTING, 2), (_REJECTING, 3),
+    # rejects u iff u = 0 mod 256, so that a long row is often kept
+    (2**32 - 2**24, 2 * rng.BATCHED_LETTERS + 2)])
+def test_integer_rows_redraw_exactly_the_rows_numpy_rejects(M, count):
+    # Lemire's map of a stream's raw words gives numpy's row iff numpy
+    # rejects no value in it, so a draw that skipped the rejection test
+    # would return the flagged rows wrong; some rows are flagged, and some
+    # are not
+    ids = range(300)
+    want = np.array([_integers(2, k, M, count) for k in ids])
+    assert np.array_equal(RngSpec(2).integer_rows(ids, M, count), want)
+    raw = np.array([_fresh(2, k).bit_generator.random_raw(-(-count // 2))
+                    for k in ids])
+    mapped = np.empty((len(ids), count), np.int64)
+    flagged = rng._bounded(raw, M, mapped)
+    assert 0 < flagged.sum() < len(ids)
+    assert not (mapped[flagged] == want[flagged]).all(axis=1).any()
+    assert (mapped[~flagged] == want[~flagged]).all()
+
+
+def test_integer_rows_refuse_M_numpy_cannot_draw():
+    for M in (0, -3, 2**63, 2**70):
+        with pytest.raises(ValueError, match=r"M must lie in \[1, 2\^63\)"):
+            RngSpec(1).integer_rows([0, 1], M, 4)
+    row, = RngSpec(1).integer_rows([3], 2**63 - 1, 5)
+    assert np.array_equal(row, _integers(1, 3, 2**63 - 1, 5))
+    assert RngSpec(1).integer_rows([3, 4], 1, 5).tolist() == [[1] * 5] * 2
 
 
 _DRAWS = (
@@ -661,6 +736,8 @@ _MODELS = {
                     partial(column_replica, mu=_MU, n=8), 8 + 8 * 8),
     "undirected": (scheduling, partial(cv.undirected_mc, 3, 30),
                    partial(escape_replica, M=3, box=30), 2 * 31),
+    "coupling": (scheduling, partial(cv.coupling_check, 3, 2, 25),
+                 partial(coupling_replica, M=3, k=2, depth=25), 2 * 26),
 }
 
 

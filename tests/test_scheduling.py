@@ -32,6 +32,7 @@ from oracles import (
     brute_kwise_joint,
     brute_path_survives,
     curve_replica,
+    escape_replica,
 )
 
 
@@ -339,6 +340,28 @@ def test_one_row_blocks_match_curve_replica_oracle():
                         for k in range(5)])
     assert np.array_equal(got, reached[:, None] >= np.array(depths))
     assert 0 < got[:, 2].sum() < 5
+
+
+def test_replica_oracles_at_a_rejecting_M(monkeypatch):
+    # at M = 3 * 2^30 numpy draws about one uint32 in four again, so the
+    # walks of nearly every replica go back to numpy's own integers; the
+    # curve and escape rows must still be the oracles' (all survive)
+    M, depth, replicas = 3 * 2**30, 20, 40
+    depths = (depth, 0, 7)
+    rng = RngSpec(44)
+    got = _curve_rows(M, depths, replicas, rng)
+    reached = np.array([curve_replica(rng.stream(k), M, depth)
+                        for k in range(replicas)])
+    assert np.array_equal(got, reached[:, None] >= np.array(depths))
+    rows = []
+
+    def chunked(fn, n, workers=1):
+        rows.append(fn(0, n))
+        return rows[-1]
+    monkeypatch.setattr(scheduling, "run_chunked", chunked)
+    undirected_mc(M, depth, replicas, rng)
+    assert rows[0].tolist() == [escape_replica(rng.stream(k), M, depth)
+                                for k in range(replicas)]
 
 
 def _reached(x, y, depth):
