@@ -2,9 +2,12 @@
 
 Every run prints one table (CSV with a header row, or JSON objects one per
 line) plus a run manifest (config echo, version, wall time, and a sha256 of
-the emitted bytes).  Exact rationals are serialized as "num/den"; floats use
-scientific notation with 12 significant digits.  Replicas map to rng streams
-by index, so outputs are byte-identical for any --workers value.
+the emitted bytes).  Handlers return rows of Python values and one
+function, `_cell`, writes every cell: exact rationals as "num/den", floats
+in scientific notation with 12 significant digits, booleans as true/false,
+lists as compact JSON, a missing value as an empty cell; JSON payloads hold
+every value as a string.  Replicas map to rng streams by index, so outputs
+are byte-identical for any --workers value.
 
 Only subcommands that draw random numbers take --seed, and only those that
 run replicas take --replicas and --workers; deterministic ones take neither
@@ -18,6 +21,7 @@ refused for exceeding its budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,32 +45,31 @@ from .stats import Estimate
 from .words import Word, alternating_word, bernoulli_word, constant_word
 
 
-def _f(x: float) -> str:
-    return "%.11e" % float(x)
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.11e" % value
+    if isinstance(value, (list, tuple)):
+        return json.dumps(value, separators=(",", ":"))
+    return "" if value is None else str(value)
 
 
-def _q(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def _est_cells(e: Estimate) -> dict:
-    return {
-        "estimate": _f(e.mean),
-        "stderr": _f(e.stderr),
-        "replicas": str(e.replicas),
-    }
-
-
-def _jlist(values) -> str:
-    return json.dumps(list(values), separators=(",", ":"))
+def _est(e: Estimate) -> dict:
+    return {"estimate": e.mean, "stderr": e.stderr, "replicas": e.replicas}
 
 
 def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
-def _word_arg(text: str) -> Word:
-    return Word.from_string(text)
+def _density(text: str) -> float:
+    """--p as a float, checked while still exact: float(Fraction("1e400"))
+    raises OverflowError."""
+    p = Fraction(text)
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    return float(p)
 
 
 def _seed(text: str) -> int:
@@ -82,10 +85,6 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             "must be in [0, 2^64), got %s" % text)
     return seed
-
-
-def _rng(args) -> RngSpec:
-    return RngSpec(args.seed)
 
 
 def _check_printable(bits: int) -> None:
@@ -104,100 +103,71 @@ def _check_printable(bits: int) -> None:
 # ---------------------------------------------------------------- embed ----
 
 def _do_embed_decide(args):
-    v = _word_arg(args.v)
-    y = _word_arg(args.y)
+    v = Word.from_string(args.v)
+    y = Word.from_string(args.y)
     wit = emb.embed_decide(v, y, args.M)
-    row = {
-        "found": str(wit is not None).lower(),
-        "positions": _jlist(wit.positions) if wit else "[]",
-        "valid": str(bool(wit) and emb.validate_embedding(wit, v, y)).lower(),
-    }
-    return ["found", "positions", "valid"], [row]
+    return [{"found": wit is not None,
+             "positions": wit.positions if wit else (),
+             "valid": wit is not None and emb.validate_embedding(wit, v, y)}]
 
 
 def _do_embed_count(args):
-    n = emb.embed_count(_word_arg(args.v), _word_arg(args.y), args.M)
-    return ["count"], [{"count": str(n)}]
+    return [{"count": emb.embed_count(Word.from_string(args.v),
+                                      Word.from_string(args.y), args.M)}]
 
 
 def _do_embed_exact(args):
-    v = _word_arg(args.v)
+    v = Word.from_string(args.v)
     _check_printable(args.M * len(v))
     pr = emb.embed_prob_exact(v, args.M, budget=args.budget)
-    row = {
-        "w": str(v),
-        "probability_num": str(pr.numerator),
-        "probability_den": str(pr.denominator),
-    }
-    return ["w", "probability_num", "probability_den"], [row]
+    return [{"w": v, "probability_num": pr.numerator,
+             "probability_den": pr.denominator}]
 
 
 def _do_embed_recursion(args):
-    vals = emb.vn_recursion(args.M, args.n)
-    rows = [{"n": str(i), "v": _q(v)} for i, v in enumerate(vals)]
-    return ["n", "v"], rows
+    return [{"n": i, "v": v}
+            for i, v in enumerate(emb.vn_recursion(args.M, args.n))]
 
 
 def _do_embed_roots(args):
     r = emb.char_roots(args.M)
-    row = {
-        "M": str(args.M),
-        "r_small": _f(r.r_small),
-        "r_large": _f(r.r_large),
-        "health": _f(r.health),
-    }
-    return ["M", "r_small", "r_large", "health"], [row]
+    return [{"M": args.M, "r_small": r.r_small, "r_large": r.r_large,
+             "health": r.health}]
 
 
 def _do_embed_scan(args):
     _check_printable(args.M * args.n)
     report = emb.extremal_scan(args.n, args.M, budget=args.budget)
-    rows = [
-        {
-            "w": str(w),
-            "probability_num": str(pr.numerator),
-            "probability_den": str(pr.denominator),
-        }
-        for w, pr in report.table
-    ]
-    return ["w", "probability_num", "probability_den"], rows
+    return [{"w": w, "probability_num": pr.numerator,
+             "probability_den": pr.denominator} for w, pr in report.table]
 
 
 def _do_embed_moments(args):
     rep = emb.moment_report(args.n, args.M)
-    row = {
-        "n": str(rep.n),
-        "M": str(rep.M),
-        "mean": _q(rep.mean),
-        "second_moment_ratio": _q(rep.second_moment_ratio),
-        "growth_estimate": _f(rep.growth_estimate) if rep.growth_estimate
-        is not None else "",
-    }
-    return ["n", "M", "mean", "second_moment_ratio", "growth_estimate"], [row]
+    return [{"n": rep.n, "M": rep.M, "mean": rep.mean,
+             "second_moment_ratio": rep.second_moment_ratio,
+             "growth_estimate": rep.growth_estimate}]
 
 
 def _do_embed_mc(args):
-    rng = _rng(args)
+    rng = RngSpec(args.seed)
     if args.target == "random":
         est = emb.embed_survival_mc(args.M, args.n, args.p_x, args.p_y,
                                     args.replicas, rng, workers=args.workers)
         target = "random"
     else:
         if args.target == "alternating":
-            v = alternating_word(args.n)
+            target = alternating_word(args.n)
         elif args.target == "constant":
-            v = constant_word(args.n)
+            target = constant_word(args.n)
         else:
-            v = _word_arg(args.target)
-            if len(v) != args.n:
+            target = Word.from_string(args.target)
+            if len(target) != args.n:
                 raise ValueError("--target %s has %d letters, not --n %d"
-                                 % (v, len(v), args.n))
-        est = emb.embed_prob_mc(v, args.M, args.replicas, rng,
+                                 % (target, len(target), args.n))
+        est = emb.embed_prob_mc(target, args.M, args.replicas, rng,
                                 p_y=args.p_y, workers=args.workers)
-        target = str(v)
-    row = {"target": target, "M": str(args.M), "n": str(args.n)}
-    row.update(_est_cells(est))
-    return ["target", "M", "n", "estimate", "stderr", "replicas"], [row]
+    return [{"target": target, "M": args.M, "n": args.n, **_est(est)}]
 
 
 # ------------------------------------------------------------- schedule ----
@@ -212,17 +182,13 @@ def _grid_from_args(args):
         # object arrays keep literal values exact past int64
         return sched.ScheduleGrid(np.array(x, dtype=object),
                                   np.array(y, dtype=object), args.M)
-    return sched.sample_grid(args.M, args.depth, _rng(args).generator())
+    return sched.sample_grid(args.M, args.depth,
+                             RngSpec(args.seed).generator())
 
 
 def _do_schedule_survive(args):
-    grid = _grid_from_args(args)
-    wit = sched.directed_survival(grid, args.depth)
-    row = {
-        "survived": str(wit is not None).lower(),
-        "path": _jlist([list(s) for s in wit.steps]) if wit else "[]",
-    }
-    return ["survived", "path"], [row]
+    wit = sched.directed_survival(_grid_from_args(args), args.depth)
+    return [{"survived": wit is not None, "path": wit.steps if wit else ()}]
 
 
 def _check_walk_letters(letters: int, flags: str) -> None:
@@ -236,38 +202,24 @@ def _check_walk_letters(letters: int, flags: str) -> None:
 def _do_schedule_curve(args):
     _check_walk_letters(args.M, "--M")
     depths = _parse_ints(args.depths)
-    ests = sched.survival_curve_mc(args.M, depths, args.replicas, _rng(args),
-                                   workers=args.workers)
-    rows = [
-        {"depth": str(d), "estimate": _f(e.mean), "stderr": _f(e.stderr)}
-        for d, e in zip(depths, ests)
-    ]
-    return ["depth", "estimate", "stderr"], rows
+    ests = sched.survival_curve_mc(args.M, depths, args.replicas,
+                                   RngSpec(args.seed), workers=args.workers)
+    return [{"depth": d, "estimate": e.mean, "stderr": e.stderr}
+            for d, e in zip(depths, ests)]
 
 
 def _do_schedule_coupling(args):
     _check_walk_letters(args.k * args.M, "--k times --M")
     rep = sched.coupling_check(args.M, args.k, args.depth, args.replicas,
-                               _rng(args), workers=args.workers)
-    row = {
-        "M": str(rep.M),
-        "k": str(rep.k),
-        "depth": str(rep.depth),
-        "samples": str(rep.samples),
-        "reduced_survivals": str(rep.reduced_survivals),
-        "big_survivals": str(rep.big_survivals),
-    }
-    return ["M", "k", "depth", "samples", "reduced_survivals",
-            "big_survivals"], [row]
+                               RngSpec(args.seed), workers=args.workers)
+    return [dataclasses.asdict(rep)]
 
 
 def _do_schedule_undirected(args):
     _check_walk_letters(args.M, "--M")
-    est = sched.undirected_mc(args.M, args.box, args.replicas, _rng(args),
-                              workers=args.workers)
-    row = {"M": str(args.M), "box": str(args.box)}
-    row.update(_est_cells(est))
-    return ["M", "box", "estimate", "stderr", "replicas"], [row]
+    est = sched.undirected_mc(args.M, args.box, args.replicas,
+                              RngSpec(args.seed), workers=args.workers)
+    return [{"M": args.M, "box": args.box, **_est(est)}]
 
 
 def _parse_vertices(text: str) -> list[tuple[int, int]]:
@@ -280,64 +232,42 @@ def _parse_vertices(text: str) -> list[tuple[int, int]]:
     return verts
 
 
-def _pmf_rows(pmf):
-    rows = []
-    for o in sorted(pmf.probs):
-        pr = pmf.probs[o]
-        rows.append({
-            "outcome": "".join(str(b) for b in o),
-            "numerator": str(pr.numerator),
-            "denominator": str(pr.denominator),
-        })
-    return ["outcome", "numerator", "denominator"], rows
-
-
 def _do_schedule_kwise(args):
     verts = _parse_vertices(args.vertices)
     letters = len({i for i, _ in verts}) + len({j for _, j in verts})
     _check_printable(letters * args.M.bit_length())
     pmf = sched.kwise_joint(verts, args.M, max_terms=args.max_terms)
-    return _pmf_rows(pmf)
+    return [{"outcome": "".join(map(str, o)), "numerator": pr.numerator,
+             "denominator": pr.denominator}
+            for o, pr in sorted(pmf.probs.items())]
 
 
 # --------------------------------------------------------------- compat ----
 
 def _do_compat_decide(args):
-    x = _word_arg(args.x)
-    y = _word_arg(args.y)
-    wit = compat.compatible_prefix(x, y)
-    row = {
-        "compatible": str(wit is not None).lower(),
-        "kept_x": _jlist(wit.kept_x) if wit else "[]",
-        "kept_y": _jlist(wit.kept_y) if wit else "[]",
-    }
-    return ["compatible", "kept_x", "kept_y"], [row]
+    wit = compat.compatible_prefix(Word.from_string(args.x),
+                                   Word.from_string(args.y))
+    return [{"compatible": wit is not None,
+             "kept_x": wit.kept_x if wit else (),
+             "kept_y": wit.kept_y if wit else ()}]
 
 
 def _do_compat_cert(args):
-    cert = compat.majority_certificate(_word_arg(args.x), _word_arg(args.y))
-    row = {
-        "found": str(cert is not None).lower(),
-        "N": str(cert.N) if cert else "",
-    }
-    return ["found", "N"], [row]
+    cert = compat.majority_certificate(Word.from_string(args.x),
+                                       Word.from_string(args.y))
+    return [{"found": cert is not None, "N": cert.N if cert else None}]
 
 
 def _do_compat_mc(args):
-    ps = [float(Fraction(t)) for t in args.p.split(",")]
+    ps = [_density(t) for t in args.p.split(",")]
     ns = _parse_ints(args.n)
     rows = []
     for p in ps:
-        ests = compat.psi_curve_mc(p, ns, args.replicas, _rng(args),
+        ests = compat.psi_curve_mc(p, ns, args.replicas, RngSpec(args.seed),
                                    workers=args.workers)
-        for n, est in zip(ns, ests):
-            rows.append({
-                "p": _f(p),
-                "n": str(n),
-                "estimate": _f(est.mean),
-                "stderr": _f(est.stderr),
-            })
-    return ["p", "n", "estimate", "stderr"], rows
+        rows += [{"p": p, "n": n, "estimate": e.mean, "stderr": e.stderr}
+                 for n, e in zip(ns, ests)]
+    return rows
 
 
 # -------------------------------------------------------------- lattice ----
@@ -348,40 +278,31 @@ def _do_lattice_blocks(args):
     _check_printable(math.ceil(args.R ** 2
                                * Fraction(math.log2(p.denominator))))
     formula = lat.block_good_prob(p, args.R)
-    est = lat.block_good_mc(float(p), args.R, args.replicas, _rng(args),
-                            workers=args.workers)
-    row = {"p": args.p, "R": str(args.R), "formula": _q(formula)}
-    row.update(_est_cells(est))
-    return ["p", "R", "formula", "estimate", "stderr", "replicas"], [row]
+    est = lat.block_good_mc(float(p), args.R, args.replicas,
+                            RngSpec(args.seed), workers=args.workers)
+    return [{"p": args.p, "R": args.R, "formula": formula, **_est(est)}]
 
 
 def _do_lattice_embed2d(args):
-    rng = _rng(args)
-    p = float(Fraction(args.p))
+    rng = RngSpec(args.seed)
+    p = _density(args.p)
     width = (args.depth + 1) * args.R
     height = (2 * args.depth + 1) * args.R
     field = lat.sample_field(p, width, height, rng.stream(0))
     if args.word is not None:
-        w = _word_arg(args.word)
+        w = Word.from_string(args.word)
     elif args.word_length is not None:
         w = bernoulli_word(args.word_length, 0.5, rng.stream(1))
     else:
         raise ValueError("give --word or --word-length")
     path = lat.block_percolation(field, args.R, args.depth)
     if path is None:
-        row = {"found": "false", "block_path": "[]", "rows": "[]",
-               "cols": "[]", "gap_bound": "", "valid": ""}
-    else:
-        wit = lat.embed_word_2d(w, field, args.R, path)
-        row = {
-            "found": "true",
-            "block_path": _jlist([list(b) for b in path]),
-            "rows": _jlist(wit.rows),
-            "cols": _jlist(wit.cols),
-            "gap_bound": str(wit.gap_bound),
-            "valid": str(lat.validate_embedding_2d(wit, w, field)).lower(),
-        }
-    return ["found", "block_path", "rows", "cols", "gap_bound", "valid"], [row]
+        return [{"found": False, "block_path": (), "rows": (), "cols": (),
+                 "gap_bound": None, "valid": None}]
+    wit = lat.embed_word_2d(w, field, args.R, path)
+    return [{"found": True, "block_path": path, "rows": wit.rows,
+             "cols": wit.cols, "gap_bound": wit.gap_bound,
+             "valid": lat.validate_embedding_2d(wit, w, field)}]
 
 
 def _do_lattice_visible(args):
@@ -391,34 +312,28 @@ def _do_lattice_visible(args):
     if len(origin) != 2:
         raise ValueError("origin looks like row,col (0-based)")
     out = lat.visible_word(field.cells, lat.LatticeKind.parse(args.lattice),
-                           origin, _word_arg(args.word), budget=args.budget)
-    return ["outcome"], [{"outcome": out.value}]
+                           origin, Word.from_string(args.word),
+                           budget=args.budget)
+    return [{"outcome": out.value}]
 
 
 def _do_lattice_abscan(args):
-    rep = lat.ab_scan(float(Fraction(args.p)), args.box, args.replicas,
-                      _rng(args), budget=args.budget, workers=args.workers)
-    rows = []
-    for name, est, exhausted in (
-        ("alternating", rep.alternating, rep.alternating_exhausted),
-        ("constant", rep.constant, rep.constant_exhausted),
-    ):
-        row = {"word": name}
-        row.update(_est_cells(est))
-        row["exhausted"] = str(exhausted)
-        rows.append(row)
-    return ["word", "estimate", "stderr", "replicas", "exhausted"], rows
+    rep = lat.ab_scan(_density(args.p), args.box, args.replicas,
+                      RngSpec(args.seed), budget=args.budget,
+                      workers=args.workers)
+    return [{"word": "alternating", **_est(rep.alternating),
+             "exhausted": rep.alternating_exhausted},
+            {"word": "constant", **_est(rep.constant),
+             "exhausted": rep.constant_exhausted}]
 
 
 # ------------------------------------------------------------------ env ----
 
 def _do_env_column(args):
     mu = env.FiniteDistribution.parse(args.mu)
-    est = env.column_percolation_mc(mu, args.box, args.replicas, _rng(args),
-                                    workers=args.workers)
-    row = {"mu": str(mu), "box": str(args.box)}
-    row.update(_est_cells(est))
-    return ["mu", "box", "estimate", "stderr", "replicas"], [row]
+    est = env.column_percolation_mc(mu, args.box, args.replicas,
+                                    RngSpec(args.seed), workers=args.workers)
+    return [{"mu": mu, "box": args.box, **_est(est)}]
 
 
 def _read_pmf_csv(path: str) -> env.JointPmf:
@@ -445,18 +360,13 @@ def _read_pmf_csv(path: str) -> env.JointPmf:
 
 
 def _do_env_kwise(args):
-    pmf = _read_pmf_csv(args.pmf)
-    rep = env.kwise_test(pmf, args.k)
+    rep = env.kwise_test(_read_pmf_csv(args.pmf), args.k)
     worst = rep.worst
-    row = {
-        "k": str(rep.k),
-        "independent": str(rep.independent).lower(),
-        "subset": _jlist(worst.subset) if worst else "[]",
-        "outcome": "".join(str(b) for b in worst.outcome) if worst else "",
-        "joint": _q(worst.joint) if worst else "",
-        "expected": _q(worst.expected) if worst else "",
-    }
-    return ["k", "independent", "subset", "outcome", "joint", "expected"], [row]
+    return [{"k": rep.k, "independent": rep.independent,
+             "subset": worst.subset if worst else (),
+             "outcome": "".join(map(str, worst.outcome)) if worst else None,
+             "joint": worst.joint if worst else None,
+             "expected": worst.expected if worst else None}]
 
 
 # ------------------------------------------------------------- plumbing ----
@@ -574,14 +484,15 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser(tuple(argv[:2])).parse_args(argv)
 
 
-def _serialize(columns, rows, fmt: str) -> bytes:
+def _serialize(rows, fmt: str) -> bytes:
+    columns = list(rows[0])
+    cells = [[_cell(row[c]) for c in columns] for row in rows]
     if fmt == "csv":
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row.get(c, "")) for c in columns))
-        return ("\n".join(lines) + "\n").encode("ascii")
-    lines = [json.dumps({c: row.get(c, "") for c in columns},
-                        separators=(",", ":")) for row in rows]
+        lines += [",".join(map(_csv_cell, line)) for line in cells]
+    else:
+        lines = [json.dumps(dict(zip(columns, line)), separators=(",", ":"))
+                 for line in cells]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -615,8 +526,7 @@ def _env(args) -> dict:
 def run(argv=None) -> int:
     args = parse_args(argv)
     t0 = time.monotonic()
-    columns, rows = args.handler(args)
-    payload = _serialize(columns, rows, args.format)
+    payload = _serialize(args.handler(args), args.format)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)

@@ -187,7 +187,9 @@ class RngSpec:
         Bad ids are refused here, before anything is yielded.
         """
         ids = _id_array(ids).tolist()
-        gen = np.random.Generator(np.random.Philox())
+        # a fixed key: every yield rewinds it, and seeding from OS entropy
+        # would only cost time
+        gen = np.random.Generator(np.random.Philox(key=0))
         bits = gen.bit_generator
         # assigning this dict, its key set to (seed, k), rewinds a Philox to
         # the start of stream k: counter, buffer and the spare half-word of

@@ -440,6 +440,126 @@ def test_json_format_matches_csv(tmp_path):
     assert rows_json == rows_csv
 
 
+# every leaf's CSV and --format json payload, as sha256, with the branches
+# that print not-found and empty cells; {field} and {pmf} name files the
+# test writes.  A new leaf needs a row here.
+_LEAF_PAYLOADS = {
+    "embed decide --v 0110 --y 00111100 --M 2":
+        ("4e7d5477385d440a23558070f1c873068bc66616e745ba3171bbb4f8331e88fe",
+         "a7fd221f6209cd4d075e1c584b5438c7c47915dd12dbc8071602050cac221b2b"),
+    "embed decide --v 11 --y 00 --M 1":
+        ("f90ee3cf93a7f2528c0310865c443e82ec6b80a86a4bcb81da9f6a6d00ff39ee",
+         "8eb07d6e919ba930e7531cf03b53a760ec8f669c633d28c5514d736581ebb889"),
+    "embed count --v 0110 --y 00111100 --M 2":
+        ("f8771c1196055b84f66d28565fcc3327d10c59ebe4203ad9cdbec47b0d81ddf1",
+         "c70767fc0c6a2e944a3b922784dc0ae06cbbaa706d749a2aa03c1855ca40af69"),
+    "embed exact --v 0101 --M 2":
+        ("5c5d93491b15c26c601657f122a348144a407b8c7a78304fd5d748dfb7c3e5a7",
+         "9d7f4936878c7e93f1b09add0930251afe2d5a0f44421af648479606d2ec8ed0"),
+    "embed recursion --M 3 --n 6":
+        ("05c7029a2234dc786794d5ff136dc223a5bfa5c12ca7e60a4c60c0b672e82923",
+         "77e8a5c73af3c0fa6ecdc9d994921c2d29d3c423055f9f506b5bb2ee40b0fa2c"),
+    "embed roots --M 3":
+        ("00a99e9929ad9a4122032dd1dc17fd5852662251aa0360d4d12b146684cf7824",
+         "c0cbac8eebccd8ecc645374d92d14d799a0b7fa11d355ee8010c5a2f56e7e281"),
+    "embed scan --n 4 --M 2":
+        ("a22b34099be2cc3397d4ea77deccd8ed7f940c2f7a9a179289575b094b8db914",
+         "341ec219a8619ecbdc6400a90a9a8974d2ed4a1bdaac883fe516cf246caa360f"),
+    "embed scan --n 0 --M 2":
+        ("dad9232c17997ca9289126b806779a6d28e5a922e881b6d983c487ff9c1146d9",
+         "d832e086d488688be23242a32b0dd41f4756809e94586ee387c0adef8e3c0b00"),
+    "embed moments --n 4 --M 2":
+        ("5b0fe1209c9f02569c672723c34ba69dcb1d90b91375953afe4f0fad71b2257b",
+         "7781a8e1beea8a3efdd242d056113ae2277811be54d35e247523adcdf2c5a1de"),
+    "embed moments --n 0 --M 2":
+        ("8c931114921099c8fe8df3e3d6fae2f44459b216de3e73263b6c30ab4652247b",
+         "86c13c02e95d9cd293242f6153b1cd8554f694356b41a1bd995edf68044c393e"),
+    "embed mc --M 2 --n 6 --replicas 20 --seed 1":
+        ("2e9c223a307ba47a8d22d3d2ac954d2053c5077b742d3ca67d54ed6f4ce2dab9",
+         "426d62b97d110262334958db474465e9416e926dd2d6a57092e5afc930aec5b4"),
+    "embed mc --M 2 --n 6 --replicas 20 --target constant":
+        ("ecc860a102f97daa2523340c9a7b573cbdad295f3f59709b4895f8ca1233a031",
+         "20d1a5f9f8add59c83f06e20207e3afd5f2c4f1e8815f65162e233cc25f520cd"),
+    "embed mc --M 2 --n 4 --replicas 20 --target 0110":
+        ("feeb26308d7c67fee6082eaa745fbaca1e95ddd9812f2cccfbd0932565c6eb08",
+         "b86a359f0138491b0d08ff42aa55da8931ea4e667ed8f21451a820ace56b72a4"),
+    "schedule survive --M 4 --depth 8 --seed 1":
+        ("830c7ce946d965ee3192f750dd777a044c8b4658589dca34f226c6fb2076c596",
+         "79dd50887e7a2b1baddf4d0a2b71635b7b9f349950214fdee512694a73e542c1"),
+    "schedule survive --M 2 --depth 1 --x 1,1 --y 1,1":
+        ("0d508b1dd95d189fe319fc05252836af9542cbeabdccd82d32adfd8a46c4a83b",
+         "09b37614892697a48f10b3b791cb5549896680b81bfb61ad4710896c57dea3bb"),
+    "schedule curve --M 4 --depths 3,10 --replicas 20 --seed 2":
+        ("3afeb4b309d1b8aca472d6748806f7ab867f9e72dfd66370ab572cede649fabc",
+         "fc4511a37e337fa802bbda841958a63cc367709a8af7a7583322908e50c11094"),
+    "schedule coupling --M 4 --k 2 --depth 10 --replicas 20":
+        ("70a085d80f8bbf71f9a3e0365ec82139cd557d138c05e7454009a1f38cb439d9",
+         "fd08fa7e6fd3ca2aff75d46a266ac836b58246ea658c6ba4e8b73aa926d7abd0"),
+    "schedule undirected --M 3 --box 5 --replicas 20":
+        ("50755ea5b88b67e85d551e1cf09b1bb5935716e72680c2ed2a73ef6fd01aa6cb",
+         "9410b64a4fbe313731123342069263d3096d8aff11cf27bde41d7a609a5ebfb5"),
+    "schedule kwise --vertices 1,1;1,2;2,1 --M 3":
+        ("cc34376015a3ab87828b6739d0dd002c93416d7652453eb964caed92281486c2",
+         "b369d3287274ae577530e063ef6091c5d957a8c419394567dcace44b1fd0b769"),
+    "compat decide --x 0101 --y 1010":
+        ("8c542d326125607f6a316f3c4b8d20a9477a14ddf9deb7070af57d9335474fde",
+         "d5b91af971b7f0d275d2fa511e0cfdd5c6eea5f28ab5ba157d931ef39f2ae455"),
+    "compat decide --x 111 --y 111":
+        ("ebbdd5c586a6beac7bcf898abbe20e5639c502f7da5e2757010d19712d817cdc",
+         "ae36110aae1acbc3fffe44f1302e4f74fc6d000e81876f789dbc817aaf18b1b3"),
+    "compat cert --x 0111 --y 1101":
+        ("d75f197692bc0799ff9a3572c720728a42f707fbc4caf32a695f352442794686",
+         "586056ae8e0536dedc1325539a3ce5b69af4ced74da3ff572a9417e168387a6e"),
+    "compat cert --x 0101 --y 1010":
+        ("709b4b17a0c8b21787797b57cadf562ed4ccca175d80ccc6ffa76452aaae1691",
+         "e1622c941bf20d161841fe4aeb59240f4e78c68c7d0f71156f6944126726ae92"),
+    "compat mc --p 0.1,1/2 --n 3,20 --replicas 20":
+        ("b132a13cb7cbfc7cfdc0d67d8ce657796c4a76b795474371102c9f6755f2808c",
+         "10bc0ce8ec157ecb61826ae9eccd92b974afbd174adadc3f6ce144cc5e9dc126"),
+    "lattice blocks --p 1/2 --R 2 --replicas 30":
+        ("c4f808c7576329fe07b6c2fa10f7a9b7e9de5b12b3d23aadc4b2a5446035fc64",
+         "bb95b703a9ce38b9081e5db8df6b08c979b95c68e30f1a5b049e534f95b37b69"),
+    "lattice embed2d --R 2 --depth 3 --word 0110 --seed 1":
+        ("be879e48e2321c40112c6e6ababa90a2bd1c163e704a2fcc276cac4370a60ef8",
+         "4786e3abf3a1b6ef3218820427070dcf2d31adb6ee4d9b7d79050cd3db3599a0"),
+    "lattice embed2d --p 0 --R 1 --depth 1 --word 0":
+        ("60438582878945211c768015dcf93b3fdace708b03047e2d444d330348d8b856",
+         "7bc56401f850aaad317f2453a1e8bc438cebd1f299f6fc269dc4674dbafb4fe4"),
+    "lattice visible --field {field} --origin 1,1 --word 1010":
+        ("1b55774acfa7b5e5e355d2452d2bba55c23c7ef42bd4e6be6b428eed6e3a1d27",
+         "0f052f4594241acd2c4fdad88e67cf67358d6a777f748a45f6f9a6bd17b9e2d9"),
+    "lattice abscan --box 3 --replicas 10":
+        ("e2b3e3eb41a9defa3b56f69e167793bc9fd234ee3b4baba72c6fc2e2c4a48e5c",
+         "3d7390ffd059318136e1f27e43cfd5234581a2119d0dd2ff820eb9b85f095170"),
+    "env column --mu 0.4:1/2,0.8:1/2 --box 4 --replicas 20":
+        ("054b55d3d3ba1601e52a4334e1ac9efdac0caadf254db193bd385da0e1634ba5",
+         "90774090e27ded76bf4f806a73d76cfbb4aeec555130ea7f2bdb7a037fba6813"),
+    "env kwise --pmf {pmf} --k 2":
+        ("b87fd95357b098a917799bef9d0d27dea1dbbde6bd4c3a40e66033109e97b347",
+         "eee7389eed7511d627be48b40a96a58ccc5d3c0900c77768488b136813423bc3"),
+    "env kwise --pmf {pmf} --k 1":
+        ("f1347d5c9c9b24bd83c544af9de6d812f09f4b9dbebf55dff14af9d3136cc79c",
+         "c230cc799f6c2eb1f69e5e475e025775b7ce5ebc9b2154b5187501a31ce0c7a2"),
+}
+
+
+def test_every_leaf_payload_pinned(tmp_path):
+    field = tmp_path / "field.txt"
+    field.write_text("010\n101\n010\n")
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("outcome,numerator,denominator\n00,3,8\n11,1,2\n"
+                   "10,1,8\n")
+    for argv, shas in _LEAF_PAYLOADS.items():
+        for fmt, want in zip(("csv", "json"), shas):
+            out = tmp_path / ("out." + fmt)
+            assert cli.main(argv.format(field=field, pmf=pmf).split()
+                            + ["--format", fmt, "--out", str(out)]) == 0
+            got = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert got == want, (argv, fmt)
+    assert {tuple(argv.split()[:2]) for argv in _LEAF_PAYLOADS} == \
+        {leaf[:2] for leaf in cli.LEAVES}
+
+
 def test_float_formatting(tmp_path):
     rows, _, _ = run_csv(tmp_path, ["embed", "roots", "--M", "2"])
     assert rows[0]["r_large"] == "8.53553390593e-01"
@@ -554,6 +674,10 @@ _SAYS = {
         "--M must be below 2^63",
     "schedule coupling --M 4611686018427387904 --k 2 --depth 3 "
     "--replicas 3": "--k times --M must be below 2^63",
+    "compat mc --p 1e400 --n 5 --replicas 3": "p must lie in [0, 1]",
+    "lattice abscan --p 1e400 --box 2 --replicas 3": "p must lie in [0, 1]",
+    "lattice embed2d --p 1e400 --R 1 --depth 1 --word 0":
+        "p must lie in [0, 1]",
 }
 
 
@@ -620,6 +744,11 @@ _SAYS = {
     "schedule undirected --M 100000000000000000000 --box 3 --replicas 3",
     "schedule coupling --M 4611686018427387904 --k 2 --depth 3 "
     "--replicas 3",
+    # a density past the float range is refused while still a Fraction,
+    # where float() raised OverflowError
+    "compat mc --p 1e400 --n 5 --replicas 3",
+    "lattice abscan --p 1e400 --box 2 --replicas 3",
+    "lattice embed2d --p 1e400 --R 1 --depth 1 --word 0",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:
