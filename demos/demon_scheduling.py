@@ -19,7 +19,7 @@ from clairvoyant import (
 )
 
 # one concrete grid, with an explicit scheduling witness when it survives
-grid = sample_grid(M=4, depth=12, g=RngSpec(7).generator())
+grid = sample_grid(M=4, depth=12, rng=RngSpec(7))
 print("x walk:", ",".join(map(str, grid.x)))
 print("y walk:", ",".join(map(str, grid.y)))
 witness = directed_survival(grid, 12)

@@ -33,7 +33,7 @@ print()
 
 # peek at one sampled environment: bad columns show up as vertical gaps
 env = sample_environment(FiniteDistribution.parse("0.2:0.25,0.9:0.75"),
-                         12, RngSpec(5).generator())
+                         12, RngSpec(5))
 print("per-column densities:", " ".join("%.1f" % d for d in env.densities))
 for j in range(11, -1, -1):
     print("   " + "".join("#" if env.config[i, j] else "." for i in range(12)))

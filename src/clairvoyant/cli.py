@@ -73,9 +73,8 @@ def _density(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """--seed: one word of the Philox key, so 0 <= seed < 2^64.  RngSpec
-    reduces a seed mod 2^64, which would give two recorded seeds the same
-    streams."""
+    """--seed: one word of the Philox key, so 0 <= seed < 2^64, refused
+    here in the flag's own words."""
     try:
         seed = int(text)
     except ValueError:
@@ -182,8 +181,7 @@ def _grid_from_args(args):
         # object arrays keep literal values exact past int64
         return sched.ScheduleGrid(np.array(x, dtype=object),
                                   np.array(y, dtype=object), args.M)
-    return sched.sample_grid(args.M, args.depth,
-                             RngSpec(args.seed).generator())
+    return sched.sample_grid(args.M, args.depth, RngSpec(args.seed))
 
 
 def _do_schedule_survive(args):
@@ -311,7 +309,7 @@ def _do_lattice_visible(args):
     origin = tuple(_parse_ints(args.origin))
     if len(origin) != 2:
         raise ValueError("origin looks like row,col (0-based)")
-    out = lat.visible_word(field.cells, lat.LatticeKind.parse(args.lattice),
+    out = lat.visible_word(field.cells, lat.LatticeKind(args.lattice),
                            origin, Word.from_string(args.word),
                            budget=args.budget)
     return [{"outcome": out.value}]

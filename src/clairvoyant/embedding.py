@@ -255,6 +255,11 @@ class CharRoots:
 
 
 def char_roots(M: int) -> CharRoots:
+    if M > 1100:
+        # c < 2^-1075 rounds to 0.0 and b, 2 - b and the discriminant to 1.0:
+        # the floats below are their limits (from M = 1086 on), found
+        # without squaring Fractions of 2^M denominators
+        return CharRoots(M, 0.0, 1.0, 1.0)
     par = recursion_params(M)
     disc = par.b * par.b - 4 * par.c
     if disc <= 0:

@@ -169,10 +169,12 @@ class ColumnEnvironment:
 
 
 def sample_environment(mu: FiniteDistribution, n: int,
-                       g: np.random.Generator) -> ColumnEnvironment:
+                       rng: RngSpec) -> ColumnEnvironment:
+    """The environment of stream rng: row 0 of its n + n^2 uniforms."""
     if n < 1:
         raise ValueError("box size must be >= 1")
-    dens, config = _environments(mu, n, g.random((1, n + n * n)))
+    dens, config = _environments(
+        mu, n, rng.uniform_rows([rng.stream_id], n + n * n))
     return ColumnEnvironment(mu=mu, densities=dens[0], config=config[0])
 
 

@@ -42,13 +42,6 @@ class LatticeKind(Enum):
     def offsets(self) -> tuple[tuple[int, int], ...]:
         return _OFFSETS[self]
 
-    @classmethod
-    def parse(cls, name: str) -> "LatticeKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError("unknown lattice %r" % name)
-
 
 _OFFSETS = {
     # triangular = square plus one fixed diagonal per face; close-packed both
@@ -115,9 +108,8 @@ def sample_field(p: float, width: int, height: int, rng: RngSpec) -> Field2D:
         raise ValueError("p must lie in [0, 1]")
     if width < 0 or height < 0:
         raise ValueError("field width and height must be >= 0")
-    g = rng.generator()
-    cells = (g.random((width, height)) < p).astype(np.uint8)
-    return Field2D(cells=cells, p=p)
+    cells = rng.bernoulli_rows([rng.stream_id], np.full((width, height), p))
+    return Field2D(cells=cells[0].astype(np.uint8), p=p)
 
 
 def field_to_text(field: Field2D) -> str:

@@ -24,8 +24,11 @@ with densities.  :meth:`RngSpec.integer_rows` draws what each stream's
 ``integers(1, M + 1)`` gives: it maps the rows' raw words in one pass, as
 numpy does by Lemire's multiply-and-shift ``((u M) >> 32) + 1``, and
 hands back to numpy only the rows where it would reject a value and draw
-again.  :meth:`RngSpec.generator` builds a fresh generator for one-off
-draws.
+again.  A one-off draw is row 0 of a row method for ``[stream_id]``, so
+this module alone turns streams into values; :meth:`RngSpec.generator`,
+numpy's own ``Generator(Philox(key))``, is the reference they all equal,
+and nothing in the package calls it.  Seeds, like stream ids, must lie in
+[0, 2^64): none is reduced, so two recorded seeds never share streams.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from typing import Iterator
 from ._lazy import np
 
 _MASK64 = (1 << 64) - 1
-# Philox keys a stream by one 64-bit word: stream ids lie below this
-_STREAM_IDS = 1 << 64
+# seeds and stream ids are the two 64-bit words of a Philox key
+_KEY_WORDS = 1 << 64
 _ZEROS = (0, 0, 0, 0)
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
@@ -128,7 +131,6 @@ def _philox_words(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
 def _batched_words(seed: int, ids: np.ndarray, words: int):
     """(a, raw) per pass of `_philox_words`, at most ``_LANES`` lanes a
     pass: raw holds at least words raw words of ids[a], ids[a + 1], ..."""
-    seed &= _MASK64
     blocks = -(-words // 4)
     step = _LANES // max(1, blocks)
     for a in range(0, len(ids), step):
@@ -165,7 +167,9 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.stream_id < _STREAM_IDS:
+        if not 0 <= self.master_seed < _KEY_WORDS:
+            raise ValueError("master_seed must lie in [0, 2^64)")
+        if not 0 <= self.stream_id < _KEY_WORDS:
             raise ValueError("stream_id must lie in [0, 2^64)")
 
     def stream(self, k: int) -> "RngSpec":
@@ -173,8 +177,9 @@ class RngSpec:
         return RngSpec(self.master_seed, k)
 
     def generator(self) -> np.random.Generator:
-        """``Generator(Philox(key=[seed, stream]))``, built fresh."""
-        key = (self.master_seed & _MASK64, self.stream_id)
+        """``Generator(Philox(key=[seed, stream]))``, built fresh: numpy's
+        own stream, the reference for the row methods."""
+        key = (self.master_seed, self.stream_id)
         return np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
@@ -200,7 +205,7 @@ class RngSpec:
                  "buffer": _ZEROS, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
         state = start["state"]
-        seed = self.master_seed & _MASK64
+        seed = self.master_seed
 
         def rewound(k):
             state["key"] = (seed, k)
@@ -291,6 +296,6 @@ def _id_array(ids) -> np.ndarray:
     # through Python ints: numpy would hold 2^64 - 1 beside a small id,
     # or -1 beside a large one, as float64
     ids = [operator.index(k) for k in ids]
-    if ids and not (0 <= min(ids) and max(ids) < _STREAM_IDS):
+    if ids and not (0 <= min(ids) and max(ids) < _KEY_WORDS):
         raise ValueError("stream ids must lie in [0, 2^64)")
     return np.array(ids, dtype=np.uint64)

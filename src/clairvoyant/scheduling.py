@@ -84,28 +84,20 @@ class ScheduleGrid:
         return self.x[i] != self.y[j]
 
 
-def _walks(g: np.random.Generator, M: int,
-           depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walks x and y, each with depth+1 uniform values on {1..M} from g,
-    x drawn first."""
-    x = g.integers(1, M + 1, size=depth + 1)
-    return x, g.integers(1, M + 1, size=depth + 1)
-
-
 def _walk_rows(ids, rng: RngSpec, M: int, depth: int) -> np.ndarray:
-    """Draw of `PerBlock`: row i holds the walks x and y that stream ids[i]
-    gives, drawn as `sample_grid` draws them.  x and then y from one
-    generator are the values of one draw of both, 2(depth + 1) long."""
+    """Row i holds the walks x and y, depth + 1 values each, that stream
+    ids[i] gives: one draw of 2(depth + 1) values on {1..M}, x first."""
     return rng.integer_rows(ids, M, 2 * (depth + 1)).reshape(-1, 2, depth + 1)
 
 
-def sample_grid(M: int, depth: int, g: np.random.Generator) -> ScheduleGrid:
-    """Grid of two uniform walks from g, x first, each with depth+1 values."""
+def sample_grid(M: int, depth: int, rng: RngSpec) -> ScheduleGrid:
+    """Grid of two uniform walks from stream rng, x first, each with
+    depth+1 values: row 0 of `_walk_rows` for that stream."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
-    return ScheduleGrid(*_walks(g, M, depth), M)
+    return ScheduleGrid(*_walk_rows([rng.stream_id], rng, M, depth)[0], M)
 
 
 @dataclass(frozen=True)
@@ -242,8 +234,8 @@ def _survival_block(walks: np.ndarray, depths: tuple[int, ...]) -> np.ndarray:
 
 
 def _curve_chunk_fn(M: int, depths, rng: RngSpec) -> PerBlock:
-    """Row k: whether replica k survives to each of depths.  Its walks
-    come from its own stream, drawn as `sample_grid` draws them."""
+    """Row k: whether replica k survives to each of depths, on the walks
+    `_walk_rows` draws from its stream."""
     depth = max(depths)
     walks = partial(_walk_rows, rng=rng, M=M, depth=depth)
     return PerBlock(_survival_block, walks, 2 * (depth + 1),
@@ -318,8 +310,8 @@ def _coupling_block(walks: np.ndarray, M: int, depth: int) -> np.ndarray:
 
 
 def _coupling_chunk_fn(M: int, k: int, depth: int, rng: RngSpec) -> PerBlock:
-    """Row j: `_coupling_block` of replica j's walks on {1..kM}, drawn from
-    its own stream as `sample_grid` draws them."""
+    """Row j: `_coupling_block` of replica j's walks on {1..kM}, which
+    `_walk_rows` draws from its stream."""
     walks = partial(_walk_rows, rng=rng, M=k * M, depth=depth)
     return PerBlock(_coupling_block, walks, 2 * (depth + 1), M=M,
                     depth=depth)
@@ -357,6 +349,18 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
     )
 
 
+def _escapes(x: np.ndarray, y: np.ndarray, box: int) -> bool:
+    """`undirected_escape` on the walks x and y."""
+    open_uv = x[:box + 1, None] != y[None, :box + 1]
+    open_uv[0, 0] = True
+    bits, s = pack_box(open_uv)
+    # row box, bits box*s .. box*s + box, and column box, bits i*s + box
+    column = ((1 << s * (box + 1)) - 1) // ((1 << s) - 1) << box
+    border = ((1 << box + 1) - 1) << box * s | column
+    return any(seen & border for seen in
+               flood(bits, s, LatticeKind.SQUARE, 1))
+
+
 def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
     """Whether the origin's open cluster reaches the boundary of [0, box]^2.
 
@@ -368,22 +372,12 @@ def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
         raise ValueError("box must be >= 0")
     if box > grid.depth:
         raise ValueError("grid has only %d levels" % grid.depth)
-    xv = grid.x[:box + 1]
-    yv = grid.y[:box + 1]
-    open_uv = xv[:, None] != yv[None, :]
-    open_uv[0, 0] = True
-    bits, stride = pack_box(open_uv)
-    # row box and column box, with no (box+1)^2 temporary wider than bool
-    border, _ = pack_box(np.pad(np.zeros((box, box), bool), (0, 1),
-                                constant_values=True))
-    return any(seen & border for seen in
-               flood(bits, stride, LatticeKind.SQUARE, 1))
+    return _escapes(grid.x, grid.y, box)
 
 
-def _escape_block(walks: np.ndarray, M: int, box: int) -> np.ndarray:
+def _escape_block(walks: np.ndarray, box: int) -> np.ndarray:
     """Block kernel: whether each walk pair's cluster escapes the box."""
-    return np.array([undirected_escape(ScheduleGrid(x, y, M), box)
-                     for x, y in walks], dtype=bool)
+    return np.array([_escapes(x, y, box) for x, y in walks], dtype=bool)
 
 
 def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
@@ -394,7 +388,7 @@ def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
     walks = partial(_walk_rows, rng=rng, M=M, depth=box)
-    fn = PerBlock(_escape_block, walks, 2 * (box + 1), M=M, box=box)
+    fn = PerBlock(_escape_block, walks, 2 * (box + 1), box=box)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 

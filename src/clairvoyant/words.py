@@ -113,4 +113,5 @@ def bernoulli_word(n: int, p: float, rng: RngSpec) -> Word:
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return Word(pack_mask(rng.generator().random(n) < p), n)
+    return Word(pack_mask(rng.bernoulli_rows([rng.stream_id],
+                                             np.full(n, p))[0]), n)

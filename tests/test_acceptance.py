@@ -199,7 +199,7 @@ def test_a10_survival_dp_matches_enumeration(request):
         for k in range(200):
             M = 3 + (k % 2)
             depth = 1 + k % 12
-            grid = cv.sample_grid(M, depth, rng.stream(k).generator())
+            grid = cv.sample_grid(M, depth, rng.stream(k))
             wit = cv.directed_survival(grid, depth)
             assert (wit is not None) == brute_path_survives(grid, depth)
             if wit is not None:

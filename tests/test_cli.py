@@ -565,6 +565,16 @@ def test_float_formatting(tmp_path):
     assert rows[0]["r_large"] == "8.53553390593e-01"
 
 
+def test_roots_end_for_every_M(tmp_path):
+    # the exact path squared Fractions of 2^M denominators: 2 s at M = 10^6,
+    # and never an answer at 10^23, where the floats are the limits
+    M = str(10**23)
+    rows, _, _ = run_csv(tmp_path, ["embed", "roots", "--M", M])
+    assert rows == [{"M": M, "r_small": "0.00000000000e+00",
+                     "r_large": "1.00000000000e+00",
+                     "health": "1.00000000000e+00"}]
+
+
 def test_exit_codes(tmp_path, capsys):
     # refusing an oversized exact computation is a usage-class failure
     assert cli.main(["embed", "scan", "--n", "24", "--M", "1"]) == 2
@@ -729,7 +739,7 @@ _SAYS = {
     "schedule curve --M 1 --depths 5 --replicas 3",
     "schedule curve --M 0 --depths 5 --replicas 3",
     "schedule curve --M 4 --depths , --replicas 3",
-    # a seed outside [0, 2^64) would alias one inside: RngSpec reduces the
+    # a seed outside [0, 2^64) once aliased one inside: RngSpec reduced the
     # key mod 2^64, so -1 gave the streams of 2^64 - 1 and 2^64 those of 0
     "embed mc --target alternating --M 3 --n 8 --replicas 20 --seed -1",
     "embed mc --target alternating --M 3 --n 8 --replicas 20 "

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clairvoyant.embedding import (
+    CharRoots,
     char_roots,
     embed_count,
     embed_decide,
@@ -133,6 +134,15 @@ def test_char_roots_identities():
         assert 0 < r.r_small < r.r_large < 1
         assert r.r_small + r.r_large == pytest.approx(float(par.b), rel=1e-12)
         assert r.r_small * r.r_large == pytest.approx(float(par.c), rel=1e-9)
+
+
+def test_char_roots_past_the_exact_bound_are_the_limits():
+    # the exact path rounds to the M -> oo limits from M = 1086 on, so past
+    # M = 1100 char_roots returns them without building 2^M denominators
+    limits = lambda M: CharRoots(M, 0.0, 1.0, 1.0)
+    assert char_roots(1085) != limits(1085)
+    for M in (1086, 1100, 1101, 10**7, 10**23):
+        assert char_roots(M) == limits(M)
 
 
 def test_char_roots_track_recursion_decay():

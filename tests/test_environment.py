@@ -87,14 +87,14 @@ def test_finite_distribution_parse_round_trip():
 def test_sample_environment():
     mu = FiniteDistribution.parse("1/4:1/2,3/4:1/2")
     rng = RngSpec(400)
-    env = sample_environment(mu, 30, rng.generator())
+    env = sample_environment(mu, 30, rng)
     assert env.config.shape == (30, 30)
     assert set(np.unique(env.densities)) <= {0.25, 0.75}
-    again = sample_environment(mu, 30, rng.generator())
+    again = sample_environment(mu, 30, rng)
     assert (env.densities == again.densities).all()
     assert (env.config == again.config).all()
     pm = sample_environment(FiniteDistribution.point_mass(Fraction(1, 3)), 10,
-                            rng.generator())
+                            rng)
     assert (pm.densities == 1 / 3).all()
 
 

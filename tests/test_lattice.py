@@ -185,10 +185,10 @@ def test_field_text_round_trip():
 
 
 def test_lattice_kinds():
-    assert LatticeKind.parse("square") is LatticeKind.SQUARE
-    assert LatticeKind.parse("close-packed") is LatticeKind.CLOSE_PACKED
+    assert LatticeKind("square") is LatticeKind.SQUARE
+    assert LatticeKind("close-packed") is LatticeKind.CLOSE_PACKED
     with pytest.raises(ValueError):
-        LatticeKind.parse("hex")
+        LatticeKind("hex")
     assert len(LatticeKind.SQUARE.offsets) == 4
     assert len(LatticeKind.TRIANGULAR.offsets) == 6
     assert len(LatticeKind.CLOSE_PACKED.offsets) == 8

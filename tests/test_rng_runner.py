@@ -88,6 +88,83 @@ def test_bernoulli_rows_refuse_stream_ids_past_64_bits(letters):
             RngSpec(1).bernoulli_rows(range(lo, hi), probs)
 
 
+def test_rng_refuses_seeds_past_64_bits():
+    # the seed is the other word of the Philox key: -1 once meant 2^64 - 1
+    # and 2^64 meant 0, so two recorded seeds shared their streams
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"master_seed .*2\^64"):
+            RngSpec(seed)
+    assert RngSpec(2**64 - 1).generator().random() \
+        == _fresh(2**64 - 1, 0).random()
+    assert RngSpec(1).stream(0) == RngSpec(1, 0) == RngSpec(1)
+    assert RngSpec(1).stream(0).generator().random() == _fresh(1, 0).random()
+
+
+_BIG_M = 3 * 2**30       # integer_rows redraws rows numpy would reject
+_MU = FiniteDistribution.parse("1/4:1/3,3/4:1/2,1:1/6")
+
+
+def _walks(spec, M, depth):
+    grid = scheduling.sample_grid(M, depth, spec)
+    return grid.x, grid.y
+
+
+def _walks_ref(g, M, depth):
+    return tuple(g.integers(1, M + 1, size=depth + 1) for _ in "xy")
+
+
+def _environment(spec, n):
+    env = environment.sample_environment(_MU, n, spec)
+    return env.densities, env.config
+
+
+def _environment_ref(g, n):
+    dens, config = environment._environments(_MU, n,
+                                             g.random((1, n + n * n)))
+    return dens[0], config[0]
+
+
+def _field(spec, p, width, height):
+    return (lattice.sample_field(p, width, height, spec).cells,)
+
+
+def _field_ref(g, p, width, height):
+    return ((g.random((width, height)) < p).astype(np.uint8),)
+
+
+def _word(spec, n, p):
+    return (cv.bernoulli_word(n, p, spec).bits,)
+
+
+def _word_ref(g, n, p):
+    return (cv.Word.from_letters((g.random(n) < p).astype(int)).bits,)
+
+
+_N = rng.BATCHED_LETTERS
+# walks of depth + 1 raw words and environments of n + n^2 letters on both
+# sides of the batched pass, fields and words of 0 to 3240 letters
+_ONE_OFF_CASES = (
+    [(_walks, _walks_ref, (M, depth)) for M in (4, 6, _BIG_M)
+     for depth in (0, 8, _N - 2, _N - 1, _N, 300)]
+    + [(_environment, _environment_ref, (n,)) for n in (1, 6, 7, 8, 30)]
+    + [(_field, _field_ref, (0.4, w, h))
+       for w, h in ((0, 3), (1, _N - 1), (1, _N), (1, _N + 1), (40, 81))]
+    + [(_word, _word_ref, (n, 0.3)) for n in (0, 1, _N - 1, _N, _N + 1, 200)])
+
+
+@pytest.mark.parametrize("seed, k", [(1, 0), (2**64 - 1, 2**64 - 1)])
+@pytest.mark.parametrize("draw, reference, args", _ONE_OFF_CASES)
+def test_one_off_draws_equal_fresh_generator(draw, reference, args, seed, k):
+    # each one-off draw is row 0 of a row method for its own stream: what
+    # a fresh numpy generator of that stream gives, value for value
+    got = draw(RngSpec(seed).stream(k), *args)
+    want = reference(RngSpec(seed).stream(k).generator(), *args)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b)
+        assert np.array_equal(a, b)
+
+
 _IDS = [9, 2, 2**64 - 1, 9, 0, 40, 2**64 - 1, 7, 2**63]
 
 
@@ -207,6 +284,10 @@ def test_integer_rows_refuse_M_numpy_cannot_draw():
     assert RngSpec(1).integer_rows([3, 4], 1, 5).tolist() == [[1] * 5] * 2
 
 
+# 2^64 - 3 is the seed RngSpec made of -3 when it reduced seeds mod 2^64;
+# it refuses -3 now, and the id keeps these tests' names
+_SEEDS = [1, 2**64 - 1, pytest.param(2**64 - 3, id="-3")]
+
 _DRAWS = (
     lambda g: g.random(7),
     lambda g: g.integers(0, 10, size=9),
@@ -216,7 +297,7 @@ _DRAWS = (
 )
 
 
-@pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
+@pytest.mark.parametrize("seed", _SEEDS)
 def test_reused_generator_draws_equal_fresh_philox(seed):
     for k in range(200):
         for draw in _DRAWS:
@@ -285,7 +366,7 @@ def test_generator_reuse_across_threads():
     assert bad == []
 
 
-@pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
+@pytest.mark.parametrize("seed", _SEEDS)
 def test_bernoulli_rows_equal_per_stream_draws(seed):
     probs = np.array([[0.0, 0.3], [0.7, 1.0], [0.5, 0.5]])
     rows = RngSpec(seed).bernoulli_rows(range(3, 40), probs)
@@ -314,7 +395,7 @@ def _edge_probs(seed, k, letters):
     return probs
 
 
-@pytest.mark.parametrize("seed", [1, 2**64 - 1, -3])
+@pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("letters", [0, 1, 3, 4, 5, 60, 5000,
                                      rng.BATCHED_LETTERS,
                                      rng.BATCHED_LETTERS + 1])

@@ -56,12 +56,12 @@ def test_schedule_grid_validation():
         with pytest.raises(ValueError):
             grid_of(xv, yv, M)
     with pytest.raises(ValueError, match="M must be >= 2"):
-        sample_grid(1, 3, RngSpec(1).generator())
+        sample_grid(1, 3, RngSpec(1))
 
 
 def test_sample_grid_range_and_determinism():
     rng = RngSpec(9)
-    g = sample_grid(4, 199, rng.generator())
+    g = sample_grid(4, 199, rng)
     assert len(g.x) == len(g.y) == 200
     assert set(g.x.tolist()) == set(g.y.tolist()) == {1, 2, 3, 4}
     # x first: two consecutive draws of depth+1 values from one generator
@@ -99,7 +99,7 @@ def test_survival_matches_brute_force():
     for k in range(60):
         M = 2 + k % 3
         depth = 1 + k % 9
-        g = sample_grid(M, depth, rng.stream(k).generator())
+        g = sample_grid(M, depth, rng.stream(k))
         got = directed_survival(g, depth)
         assert (got is not None) == brute_path_survives(g, depth)
         if got is not None:
@@ -109,7 +109,7 @@ def test_survival_matches_brute_force():
 def test_survival_depth_is_the_frontier_edge():
     rng = RngSpec(55)
     for k in range(25):
-        g = sample_grid(2, 14, rng.stream(k).generator())
+        g = sample_grid(2, 14, rng.stream(k))
         d = survival_depth(g)
         assert directed_survival(g, d) is not None
         if d < g.depth:
@@ -119,7 +119,7 @@ def test_survival_depth_is_the_frontier_edge():
 
 
 def test_survival_depth_rejects_a_negative_cap():
-    g = sample_grid(4, 10, RngSpec(1).generator())
+    g = sample_grid(4, 10, RngSpec(1))
     assert survival_depth(g, 0) == 0
     with pytest.raises(ValueError):
         survival_depth(g, -5)
@@ -139,7 +139,7 @@ def test_bitset_sweep_matches_antidiagonal_oracle():
             antidiagonal_survival_depth(grid, cap), (k, cap)
     rng = RngSpec(2000)
     for k in range(30):
-        grid = sample_grid(4 + k % 3, 200, rng.stream(k).generator())
+        grid = sample_grid(4 + k % 3, 200, rng.stream(k))
         wit = directed_survival(grid, 200)
         assert (wit is not None) == (antidiagonal_survival_depth(grid) == 200)
         if wit is not None:
@@ -296,7 +296,7 @@ def test_undirected_escape_matches_brute_force():
     for k in range(400):
         M = int(pick.integers(2, 5))
         box = int(pick.integers(0, 15))
-        grid = sample_grid(M, box, rng.stream(k).generator())
+        grid = sample_grid(M, box, rng.stream(k))
         assert undirected_escape(grid, box) == brute_escape(grid, box), \
             (k, M, box)
 

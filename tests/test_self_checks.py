@@ -20,3 +20,25 @@ def test_no_bare_asserts_in_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_rng_turns_streams_into_values():
+    # one draw interface: outside rng.py no module reads np.random or asks
+    # RngSpec for a generator; one-off draws go through its row methods.
+    # (runner.py imports numpy.random before it forks, and draws nothing)
+    paths = sorted(SRC.glob("*.py"))
+    assert {"rng.py", "scheduling.py", "lattice.py"} <= {p.name for p in paths}
+    found = []
+    for path in paths:
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+            hit |= (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("generator", "generators"))
+            if hit:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
