@@ -8,6 +8,8 @@ recursion for the alternating word, moment diagnostics); the others get
 decision procedures and seeded simulation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .compatibility import (
     DeletionWitness,
     MajorityCertificate,
@@ -93,81 +95,7 @@ from .words import Word, alternating_word, bernoulli_word, constant_word
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DIRECTED_SITE_THRESHOLD",
-    "AbScanReport",
-    "BlockGrid",
-    "BudgetError",
-    "CharRoots",
-    "ColumnEnvironment",
-    "CouplingReport",
-    "DeletionWitness",
-    "Embedding2DWitness",
-    "EmbeddingWitness",
-    "Estimate",
-    "Field2D",
-    "FiniteDistribution",
-    "JointPmf",
-    "KwiseReport",
-    "KwiseViolation",
-    "LatticeKind",
-    "MajorityCertificate",
-    "MomentReport",
-    "PathWitness",
-    "PropertyViolation",
-    "RecursionParams",
-    "RngSpec",
-    "ScanReport",
-    "ScheduleGrid",
-    "Visibility",
-    "Word",
-    "ab_scan",
-    "alternating_word",
-    "bernoulli_word",
-    "block_good_mc",
-    "block_good_prob",
-    "block_grid",
-    "block_percolation",
-    "block_relation_targets",
-    "char_roots",
-    "column_percolation_mc",
-    "compatible",
-    "compatible_prefix",
-    "constant_word",
-    "coupling_check",
-    "crosses_horizontally",
-    "directed_survival",
-    "embed_count",
-    "embed_decide",
-    "embed_prob_exact",
-    "embed_prob_mc",
-    "embed_survival_mc",
-    "embed_word_2d",
-    "extremal_scan",
-    "field_from_text",
-    "field_to_text",
-    "kwise_joint",
-    "kwise_test",
-    "majority_certificate",
-    "mean_embeddings",
-    "moment_report",
-    "product_pmf",
-    "psi_curve_mc",
-    "psi_mc",
-    "recursion_params",
-    "reduce_value",
-    "sample_environment",
-    "sample_field",
-    "sample_grid",
-    "second_moment_ratio",
-    "survival_curve_mc",
-    "survival_depth",
-    "undirected_escape",
-    "undirected_mc",
-    "validate_deletion",
-    "validate_embedding",
-    "validate_embedding_2d",
-    "validate_path",
-    "visible_word",
-    "vn_recursion",
-]
+# every name the imports above bind, bar the submodules they also bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

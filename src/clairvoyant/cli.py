@@ -124,6 +124,7 @@ def _do_embed_exact(args):
 
 
 def _do_embed_recursion(args):
+    _check_printable(args.M * max(args.n, 1))
     return [{"n": i, "v": v}
             for i, v in enumerate(emb.vn_recursion(args.M, args.n))]
 
@@ -564,7 +565,8 @@ def main(argv=None) -> int:
         print("error: zero denominator: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print("error: out of memory: %s" % exc, file=sys.stderr)
+        print("error: out of memory: %s" % (str(exc) or "an allocation "
+                                             "failed"), file=sys.stderr)
         return 2
     except PropertyViolation as exc:
         print("property violation: %s" % exc, file=sys.stderr)

@@ -9,13 +9,14 @@ for longer horizons and monotone under extending either word.
 State (i, j) has consumed i letters of x and j of y; the moves skip a 0 of
 x, skip a 0 of y, or emit one letter from each provided they are not both
 1, and a reachable state with either word exhausted accepts.  One row
-sweep, `_rows`, yields the reachable j's of each i as one int; the
-decision and the deletion witness (walked back through the kept rows) are
-loops over it.
+sweep, `_rows`, yields the reachable j's of each i as one int, for every
+pair of words packed into a lane of that int.  The decision and the
+deletion witness (walked back through the kept rows) are loops over it on
+one lane.
 
 The largest compatible horizon T behind `psi_mc` runs the same sweep on a
 block of replicas at once: `_horizon_lanes` packs each pair of words into
-a lane of one int and steps every lane with each letter.  `_horizon_chunk`
+a lane and steps every lane with each letter.  `_horizon_chunk`
 draws only the letters the sweep reads, in stages: the first 16 letters
 of every replica's two streams, then a prefix 4 times longer (or all N
 letters, when over half of the stage got that far) for the replicas whose
@@ -35,7 +36,7 @@ from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate
-from .words import Word, pack_mask, unpack_mask
+from .words import Word, pack_rows, unpack_rows
 
 
 @dataclass(frozen=True)
@@ -60,37 +61,53 @@ def validate_deletion(witness: DeletionWitness, x: Word, y: Word) -> bool:
     return all(a * b == 0 for a, b in zip(vx, vy))
 
 
-def _rows(xbits: int, nx: int, ybits: int, ny: int):
-    """Yield the closed reachable rows r_0, r_1, ... of the (nx, ny) sweep.
+def _rows(r: int, x0: int, zy: int, ones: int, K: int, steps: int):
+    """Yield the closed reachable rows of every lane from r, then one more
+    for each of the next `steps` letters of x; stop after an empty row.
 
-    Bit j of r_i is set iff state (i, j) is reachable from (0, 0); the sweep
-    stops after the first empty row.  A row steps to the next by skip-x
-    (x_{i+1} = 0 keeps every j) or emit (j to j + 1 unless x_{i+1} and
-    y_{j+1} are both 1), then closes under skip-y: adding r & zy to zy
-    carries each run of zy's 1s from its lowest bit in r up to one past the
-    run, clearing the run on the way, and xor-ing zy back flips those bits
-    on (bits of r inside the run aside, which r keeps).
+    Lane b owns bits b W to b W + K + 1, W = K + 2, of each int (ones has
+    bit b W): bit j < K + 1 of its row i is set iff state (i, j) is
+    reachable from (0, 0), and bit K + 1 is a guard.  zy has bit j of a
+    lane iff y_{j+1} = 0, and x0 bit k iff the k-th next letter of x is 0.
+    A step skips x_{i+1} = 0 (keeping every j) or emits (j to j + 1 unless
+    x_{i+1} = y_{j+1} = 1): it keeps or emits from r within the mask
+    ``(b << (K+1)) - b`` of the lanes b where x_{i+1} = 0, and emits from
+    r & zy elsewhere.  It then closes under skip-y: adding r & zy to zy
+    carries each run of zy's 1s from its lowest bit in r up to one past
+    the run, and xor-ing zy back flips those bits on.  A lane that reaches
+    j = K is yielded once with that bit, then cleared, so no shift
+    carries it past the guard.
     """
-    zy = ~ybits & ((1 << ny) - 1)
-    full = (1 << (ny + 1)) - 1
-    r = 1 | (((1 & zy) + zy) ^ zy)
+    W = K + 2
+    top = ones << K
+    r |= ((r & zy) + zy) ^ zy
     yield r
-    for i in range(nx):
-        if (xbits >> i) & 1:
-            r = (r & zy) << 1
-        else:
-            r |= (r << 1) & full
+    for _ in range(steps):
+        hit = r & top
+        if hit:
+            b = hit >> K
+            r &= ~((b << W) - b)
+        b = x0 & ones
+        x0 >>= 1
+        m0 = (b << (K + 1)) - b
+        r = (r & m0) | ((r & (m0 | zy)) << 1)
         r |= ((r & zy) + zy) ^ zy
         yield r
         if not r:
             return
 
 
-def compatible(x: Word, y: Word) -> bool:
-    """Fast decision without a witness (bitset row sweep)."""
+def _one_lane(x: Word, y: Word):
+    """The rows of the (len(x), len(y)) sweep: `_rows` on one lane."""
     if len(x) == 0 or len(y) == 0:
         raise ValueError("both words must be nonempty")
-    for r in _rows(x.bits, len(x), y.bits, len(y)):
+    return _rows(1, ~x.bits & ((1 << len(x)) - 1),
+                 ~y.bits & ((1 << len(y)) - 1), 1, len(y), len(x))
+
+
+def compatible(x: Word, y: Word) -> bool:
+    """Fast decision without a witness (bitset row sweep)."""
+    for r in _one_lane(x, y):
         if (r >> len(y)) & 1:
             return True
     return r != 0
@@ -105,11 +122,9 @@ def compatible_prefix(x: Word, y: Word) -> DeletionWitness | None:
     r_{i-1}, then a skip of y_j within r_i.  Letters of the unfinished word
     are kept wholesale: the kept lists start from them, in reverse.
     """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("both words must be nonempty")
     nx, ny = len(x), len(y)
     rows = []
-    for r in _rows(x.bits, nx, y.bits, ny):
+    for r in _one_lane(x, y):
         rows.append(r)
         if (r >> ny) & 1:
             break
@@ -178,53 +193,28 @@ def _horizon_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     1, so a path to it passes through an accepting state of every smaller
     horizon.
 
-    Every lane runs the `_rows` sweep at once in one int.  Lane b owns bits
-    b W to b W + K + 1, W = K + 2: bits 0..K are its row's states j, and
-    bit K + 1 is a guard that the aliveness test ``(r + full) & guard``
-    carries into (full holds bits 0..K of each lane), so a carry never
-    reaches the next lane.  The x-step of letter i keeps or emits from r
-    within the mask ``(b << (K+1)) - b`` of the lanes b where x_i = 0, and
-    emits only from r & zy elsewhere.  A lane that reaches j = K has T = K
-    and is retired (cleared), so no shift carries its bit K past the
-    guard.  T is the top bit of the lane's union of rows, where a lane
-    whose row i is empty also gets bit i - 1, the i-part of T.  Once half
-    of the lanes in the int are done, the rest are packed again without
-    them.
+    Every lane runs the `_rows` sweep at once in one int, lane b at bits
+    b W and up, W = K + 2.  The aliveness test ``(r + full) & guard``
+    carries a lane's nonempty row into its guard bit K + 1 (full holds
+    bits 0..K of each lane), so a carry never reaches the next lane.  T is
+    the top bit of the lane's union of rows, where a lane whose row i is
+    empty also gets bit i - 1, the i-part of T.  Once half of the lanes in
+    the int are done, the rest are packed again without them; a lane that
+    reached j = K is done from the row after.
     """
     lanes, K = x.shape
     W = K + 2
-
-    def pack(cols):  # row b of cols at bits b W, b W + 1, ...
-        buf = np.zeros((len(cols), W), dtype=bool)
-        buf[:, :cols.shape[1]] = cols
-        return pack_mask(buf)
-
     T = np.zeros(lanes, dtype=np.int64)
     live, r, i = np.arange(lanes), None, 0
     while True:
         n = len(live)
-        ones = pack(np.ones((n, 1), dtype=bool))
+        ones = pack_rows(np.ones((n, 1), dtype=bool), W)
         full = (ones << (K + 1)) - ones
-        guard, top = ones << (K + 1), ones << K
-        zy, x0 = pack(~y[live]), pack(~x[live, i:])
-        if r is None:
-            r = ones | (((ones & zy) + zy) ^ zy)
-            steps = range(K + 1)
-        else:
-            steps = range(i + 1, K + 1)
+        guard = ones << (K + 1)
+        zy, x0 = pack_rows(~y[live], W), pack_rows(~x[live, i:], W)
         seen, alive = 0, guard
-        for i in steps:
-            if i:
-                b = x0 & ones
-                x0 >>= 1
-                m0 = (b << (K + 1)) - b
-                r = (r & m0) | ((r & (m0 | zy)) << 1)
-                r |= ((r & zy) + zy) ^ zy
-            hit = r & top
-            if hit:
-                b = hit >> K
-                r &= ~((b << W) - b)
-                seen |= hit
+        for i, r in enumerate(_rows(ones if r is None else r, x0, zy, ones,
+                                    K, K - i), i):
             seen |= r
             now = (r + full) & guard
             if now != alive:
@@ -235,14 +225,13 @@ def _horizon_lanes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                     break
         if i == K:
             seen |= alive >> 1
-        t = K - np.argmax(unpack_mask(seen, n * W).reshape(n, W)[:, K::-1],
-                          axis=1)
+        t = K - np.argmax(unpack_rows(seen, n, W)[:, K::-1], axis=1)
         T[live] = np.maximum(T[live], t)
         if not alive or i == K:
             return T
-        rows = unpack_mask(r, n * W).reshape(n, W)
+        rows = unpack_rows(r, n, W)
         kept = rows.any(axis=1)
-        live, r = live[kept], pack_mask(rows[kept])
+        live, r = live[kept], pack_rows(rows[kept], W)
 
 
 def _horizon_chunk(lo: int, hi: int, rng: RngSpec, p: float,

@@ -13,6 +13,9 @@ For the alternating word against uniform random ``y`` the probability
 M; both the recursion and the automaton are implemented so each can check
 the other.  First and second moments of the number of embeddings of a
 random word are exact as well, the second by a DP over position offsets.
+
+The decision and the Monte Carlo estimators run the gap sweep
+`words.gap_frontiers`, the latter on a block of replicas, one to a lane.
 """
 
 from __future__ import annotations
@@ -27,9 +30,13 @@ from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate
-from .words import Word, pack_mask, unpack_mask
+from .words import Word, gap_frontiers, pack_rows, unpack_rows
 
 DEFAULT_BUDGET = 1 << 23
+# A Monte Carlo replica draws M*n target letters (8 bytes each) and sweeps
+# n frontiers of M*n bits; past either bound it is refused before any draw
+MC_LETTERS = 1 << 24
+MC_BIT_STEPS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -56,31 +63,6 @@ def validate_embedding(witness: EmbeddingWitness, v: Word, y: Word) -> bool:
     return True
 
 
-def _spread(frontier: int, M: int) -> int:
-    s = 0
-    for d in range(1, M + 1):
-        s |= frontier << d
-    return s
-
-
-def _frontiers(r: int, masks, M: int):
-    """Yield the forward sweep's frontiers from r, one more per mask.
-
-    Each step spreads every set bit of the frontier forward by 1..M and
-    keeps those in the next letter's mask; a mask is read only when the
-    sweep reaches it, and the sweep stops after the first empty frontier.
-    For a word v into y, r = 1 is the virtual start m_0 = 0 and mask i has
-    bit m set iff y_m = v_i, so frontier i has bit m set iff v_1..v_i
-    M-embeds into y with v_i at 1-based position m.
-    """
-    yield r
-    for mask in masks:
-        r = _spread(r, M) & mask
-        yield r
-        if not r:
-            return
-
-
 def embed_decide(v: Word, y: Word, M: int) -> EmbeddingWitness | None:
     """A witness that v M-embeds into y, or None if there is none."""
     if M < 1:
@@ -90,8 +72,8 @@ def embed_decide(v: Word, y: Word, M: int) -> EmbeddingWitness | None:
         return EmbeddingWitness((), M)
     ones = y.bits << 1
     zeros = ~ones & ((1 << (len(y) + 1)) - 2)
-    frontiers = list(_frontiers(1, (ones if (v.bits >> i) & 1 else zeros
-                                    for i in range(n)), M))
+    frontiers = list(gap_frontiers(1, (ones if (v.bits >> i) & 1 else zeros
+                                       for i in range(n)), M))
     if not frontiers[-1]:
         return None
     # walk the frontiers backwards, taking the lowest admissible position
@@ -435,23 +417,27 @@ def _embeds_block(rows: np.ndarray, n: int, M: int,
     L = M * n
     W = L + 1
     y = rows[:, rows.shape[1] - L:]
-    field = np.zeros((B, W), dtype=bool)
-    field[:, 0] = True
-    start = pack_mask(field.ravel())
-    field[:, 0] = False
 
-    def mask(letters) -> int:
-        field[:, 1:L + 1] = y == letters
-        return pack_mask(field.ravel())
+    def mask(letters) -> int:  # y at bits 1..L of each replica's field
+        return pack_rows(y == letters, W) << 1
 
     if vbits is None:
         masks = (mask(rows[:, i:i + 1]) for i in range(n))
     else:
         by_letter = (mask(False), mask(True))
         masks = (by_letter[(vbits >> i) & 1] for i in range(n))
-    for last in _frontiers(start, masks, M):
+    start = pack_rows(np.ones((B, 1), dtype=bool), W)
+    for last in gap_frontiers(start, masks, M):
         pass
-    return unpack_mask(last, B * W).reshape(B, W).any(axis=1)
+    return unpack_rows(last, B, W).any(axis=1)
+
+
+def _check_replica(M: int, n: int) -> None:
+    L = M * n
+    if L > MC_LETTERS or n * L > MC_BIT_STEPS:
+        raise BudgetError("a replica draws %d target letters and sweeps %d "
+                          "bit-steps, over the bounds of %d letters and %d "
+                          "bit-steps" % (L, n * L, MC_LETTERS, MC_BIT_STEPS))
 
 
 def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
@@ -461,6 +447,7 @@ def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
         raise ValueError("gap bound M must be >= 1")
     if not 0.0 <= p_y <= 1.0:
         raise ValueError("p_y must lie in [0, 1]")
+    _check_replica(M, len(v))
     probs = np.full(M * len(v), p_y)
     fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
                   probs.size, n=len(v), M=M, vbits=v.bits)
@@ -481,30 +468,10 @@ def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
     for p in (p_x, p_y):
         if not 0.0 <= p <= 1.0:
             raise ValueError("letter densities must lie in [0, 1]")
+    _check_replica(M, n)
     probs = np.concatenate([np.full(n, p_x), np.full(M * n, p_y)])
     fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
                   probs.size, n=n, M=M, vbits=None)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 
-
-__all__ = [
-    "EmbeddingWitness",
-    "validate_embedding",
-    "embed_decide",
-    "embed_count",
-    "embed_prob_exact",
-    "RecursionParams",
-    "recursion_params",
-    "vn_recursion",
-    "CharRoots",
-    "char_roots",
-    "ScanReport",
-    "extremal_scan",
-    "mean_embeddings",
-    "second_moment_ratio",
-    "MomentReport",
-    "moment_report",
-    "embed_prob_mc",
-    "embed_survival_mc",
-]

@@ -4,7 +4,8 @@ The block construction coarse-grains a random binary field into R x R
 blocks; a block is good when it contains both letters.  Good blocks form a
 directed relation (i, j) -> (i+1, j+1) or (i+1, j+2) that is a copy of
 directed N^2, and any directed path of good blocks lets every word embed
-two-dimensionally with L1 gaps at most 5R.
+two-dimensionally with L1 gaps at most 5R.  A path is found by the gap
+sweep `words.gap_frontiers` with gaps 1..2, one block row a letter.
 
 Visible words are read along self-avoiding walks on a site configuration
 over one of three planar lattices (square, triangular, close-packed).  The
@@ -30,7 +31,8 @@ from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate
-from .words import Word, alternating_word, constant_word, pack_mask
+from .words import (Word, alternating_word, constant_word, gap_frontiers,
+                    pack_mask, pack_rows)
 
 
 class LatticeKind(Enum):
@@ -58,10 +60,8 @@ def pack_box(cells: np.ndarray) -> tuple[int, int]:
 
     stride = W + 1 leaves column W empty, so no lattice step wraps a row.
     """
-    h, w = cells.shape
-    padded = np.zeros((h, w + 1), dtype=bool)
-    padded[:, :w] = cells
-    return pack_mask(padded.ravel()), w + 1
+    stride = cells.shape[1] + 1
+    return pack_rows(cells, stride), stride
 
 
 def flood(bits: int, stride: int, kind: LatticeKind, seed: int):
@@ -184,19 +184,16 @@ def block_percolation(field: Field2D, R: int,
         )
     if not bg.good[0, 0]:
         return None
-    masks = [0] + [pack_mask(row) << 1 for row in bg.good]
-    frontiers = [1 << 1]
-    f = 1 << 1
-    for t in range(1, depth + 1):
-        f = ((f << 1) | (f << 2)) & masks[t + 1]
-        if f == 0:
-            return None
-        frontiers.append(f)
+    # bit j of frontier t: block (t + 1, j) ends a good path from (1, 1)
+    frontiers = list(gap_frontiers(1 << 1, (pack_mask(row) << 1 for row
+                                            in bg.good[1:depth + 1]), 2))
+    f = frontiers[-1]
+    if not f:
+        return None
     j = (f & -f).bit_length() - 1
     path = [(depth + 1, j)]
     for t in range(depth - 1, -1, -1):
-        prev = frontiers[t]
-        j = j - 1 if (prev >> (j - 1)) & 1 else j - 2
+        j -= 1 if (frontiers[t] >> (j - 1)) & 1 else 2
         path.append((t + 1, j))
     path.reverse()
     return tuple(path)

@@ -51,7 +51,7 @@ from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate
-from .words import pack_mask, unpack_mask
+from .words import pack_mask, unpack_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +227,7 @@ def _survival_block(walks: np.ndarray, depths: tuple[int, ...]) -> np.ndarray:
     for d, f in enumerate(_frontiers(walks[:, 0], walks[:, 1],
                                      max(depths))):
         if d in wanted:
-            alive[d] = unpack_mask(f, (d + 1) * rows).reshape(
-                d + 1, rows).any(axis=0)
+            alive[d] = unpack_rows(f, d + 1, rows).any(axis=0)
     dead = np.zeros(rows, dtype=bool)
     return np.column_stack([alive.get(d, dead) for d in depths])
 

@@ -1,9 +1,14 @@
-"""Binary words.
+"""Binary words, and the bitset primitives the models share.
 
 Letters are ints in {0, 1}.  A :class:`Word` packs its letters LSB-first
 into a Python int, so whole-alphabet scans and frontier DPs elsewhere in the
 package can work on machine words; index ``i`` of the word is bit ``i`` of
 ``bits``.
+
+`pack_rows` and `unpack_rows` give the lane layout of the block kernels:
+row b of a bool array at bits b*stride and up of one int.  `gap_frontiers`
+is the forward sweep of gap-bounded embedding, which block percolation
+runs with gaps 1..2.
 """
 
 from __future__ import annotations
@@ -85,11 +90,47 @@ def pack_mask(mask: np.ndarray) -> int:
                           "little")
 
 
-def unpack_mask(bits: int, size: int) -> np.ndarray:
-    """The inverse of `pack_mask`: bits 0 .. size-1 of bits as bools."""
-    raw = bits.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size,
-                         bitorder="little").view(bool)
+def pack_rows(rows: np.ndarray, stride: int) -> int:
+    """Row b of a 2-D bool array at bits b*stride .. b*stride + width - 1
+    of one int; the bits up to the next row are 0."""
+    count, width = rows.shape
+    buf = np.zeros((count, stride), dtype=bool)
+    buf[:, :width] = rows
+    return pack_mask(buf)
+
+
+def unpack_rows(bits: int, count: int, stride: int) -> np.ndarray:
+    """The inverse of `pack_rows`: bits 0 .. count*stride - 1 of bits as a
+    (count, stride) bool array."""
+    size = count * stride
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
+    bools = np.unpackbits(raw, count=size, bitorder="little").view(bool)
+    return bools.reshape(count, stride)
+
+
+def gap_frontiers(r: int, masks, M: int):
+    """Yield the forward sweep's frontiers from r, one more per mask.
+
+    Each step spreads every set bit of the frontier forward by 1..M and
+    keeps those in the next letter's mask; a mask is read only when the
+    sweep reaches it, and the sweep stops after the first empty frontier.
+    The spread doubles: from s = r << 1, which covers gaps 1..1,
+    s |= s << k covers gaps 1..span + k for k <= span, so about log2 M
+    shifts reach M.  For a word v into y, r = 1 is the virtual start
+    m_0 = 0 and mask i has bit m set iff y_m = v_i, so frontier i has bit
+    m set iff v_1..v_i M-embeds into y with v_i at 1-based position m.
+    """
+    yield r
+    for mask in masks:
+        s, span = r << 1, 1
+        while span < M:
+            k = min(span, M - span)
+            s |= s << k
+            span += k
+        r = s & mask
+        yield r
+        if not r:
+            return
 
 
 def alternating_word(n: int) -> Word:

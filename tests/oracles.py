@@ -97,6 +97,21 @@ def enum_embed_counts(words_bits: list[int], n: int, M: int) -> list[int]:
     return counts
 
 
+def shift_frontiers(r, masks, M):
+    """The gap sweep's frontiers from r, spreading each by its M shifts
+    1..M one at a time; stops after the first empty frontier."""
+    out = [r]
+    for mask in masks:
+        s = 0
+        for d in range(1, M + 1):
+            s |= r << d
+        r = s & mask
+        out.append(r)
+        if not r:
+            break
+    return out
+
+
 def brute_mean_embeddings(n, M):
     total = 0
     for v in product((0, 1), repeat=n):

@@ -644,10 +644,16 @@ def _out_of_memory(args):
     raise MemoryError("forced")
 
 
+def _bare_out_of_memory(args):
+    raise MemoryError()     # as an allocation that fails in C raises it
+
+
 # rows whose handler is replaced, so that the failure needs no real input
 _FORCED = {
     "schedule undirected --M 2 --box 3 --replicas 1":
         ("_do_schedule_undirected", _out_of_memory),
+    "schedule undirected --M 3 --box 3 --replicas 1":
+        ("_do_schedule_undirected", _bare_out_of_memory),
 }
 
 
@@ -688,6 +694,18 @@ _SAYS = {
     "lattice abscan --p 1e400 --box 2 --replicas 3": "p must lie in [0, 1]",
     "lattice embed2d --p 1e400 --R 1 --depth 1 --word 0":
         "p must lie in [0, 1]",
+    "schedule undirected --M 3 --box 3 --replicas 1":
+        "error: out of memory: an allocation failed",
+    "embed recursion --M 1000000 --n 3":
+        "refused: the exact probability has a denominator of up to "
+        "2^3000000 (903090 digits)",
+    "embed recursion --M 100000000000000000000000 --n 0":
+        "refused: the exact probability has a denominator of up to "
+        "2^100000000000000000000000 ",
+    "embed mc --M 100000 --n 1000 --replicas 1":
+        "refused: a replica draws 100000000 target letters and sweeps "
+        "100000000000 bit-steps, over the bounds of 16777216 letters and "
+        "4294967296 bit-steps",
 }
 
 
@@ -722,8 +740,10 @@ _SAYS = {
     "embed decide --v 01 --y 01 --M 1 --seed 3",
     "schedule survive --M 2 --depth 1 --replicas 5",
     "lattice embed2d --R 2 --depth 3 --word 01 --workers 2",
-    # running out of memory, forced by a patched handler (see _FORCED)
+    # running out of memory, forced by a patched handler (see _FORCED);
+    # a MemoryError with no message still prints a reason
     "schedule undirected --M 2 --box 3 --replicas 1",
+    "schedule undirected --M 3 --box 3 --replicas 1",
     # a 6000001 x 6000001 field: refused when it is drawn, with the words
     # of length 3000000 built in well under a second
     "lattice abscan --p 1/2 --box 3000000 --replicas 1",
@@ -759,6 +779,12 @@ _SAYS = {
     "compat mc --p 1e400 --n 5 --replicas 3",
     "lattice abscan --p 1e400 --box 2 --replicas 3",
     "lattice embed2d --p 1e400 --R 1 --depth 1 --word 0",
+    # v_n's denominators grow to 2^(M n), and building 2^M alone took
+    # seconds: refused before the recursion, at n = 0 too
+    "embed recursion --M 1000000 --n 3",
+    "embed recursion --M 100000000000000000000000 --n 0",
+    # one replica of 10^8 letters: refused before its 800 MB draw
+    "embed mc --M 100000 --n 1000 --replicas 1",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:

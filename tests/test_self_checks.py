@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import types
 from pathlib import Path
 
 import clairvoyant
@@ -42,3 +44,14 @@ def test_only_rng_turns_streams_into_values():
             if hit:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_public_names_pinned():
+    # __all__ is derived from what __init__.py imports; these are the 76
+    # names it once listed by hand, sorted and joined by newlines
+    names = sorted(clairvoyant.__all__)
+    assert len(names) == 76
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
+        "ae016da5e45a43207f21fd12f978c13914981d3acde17aa9da77f37675f8e9d8"
+    assert [n for n in names if n.startswith("_") or isinstance(
+        getattr(clairvoyant, n), types.ModuleType)] == []

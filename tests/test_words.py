@@ -8,7 +8,11 @@ from clairvoyant.words import (
     alternating_word,
     bernoulli_word,
     constant_word,
+    gap_frontiers,
+    pack_mask,
 )
+
+from oracles import shift_frontiers
 
 letters = st.lists(st.integers(0, 1), max_size=12)
 
@@ -93,3 +97,20 @@ def test_bernoulli_word_deterministic():
     assert a == b
     assert bernoulli_word(50, 0.0, rng) == constant_word(50, letter=0)
     assert bernoulli_word(50, 1.0, rng) == constant_word(50)
+
+
+@pytest.mark.parametrize("M", list(range(1, 71)) + [127, 128, 129, 1000])
+def test_gap_frontiers_equal_the_plain_spread(M):
+    # the doubling spread covers gaps 1..M exactly, for M a power of two,
+    # one either side of one, and the rest up to 70
+    gen = np.random.default_rng(M)
+    for letters in (0, 1, 2, 7):
+        for density in (0.2, 0.6, 0.97):
+            width = 40 + M * (letters + 1)
+            r = pack_mask(gen.random(40) < 0.5) | 1 << int(gen.integers(40))
+            masks = [pack_mask(gen.random(width) < density)
+                     for _ in range(letters)]
+            want = shift_frontiers(r, masks, M)
+            assert list(gap_frontiers(r, iter(masks), M)) == want
+            if density > 0.9:
+                assert want[-1]      # the sweep ran through every mask
