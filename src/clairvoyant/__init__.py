@@ -43,7 +43,6 @@ from .embedding import (
 from .environment import (
     ColumnEnvironment,
     FiniteDistribution,
-    JointPmf,
     KwiseReport,
     KwiseViolation,
     column_percolation_mc,
@@ -90,7 +89,7 @@ from .scheduling import (
     undirected_mc,
     validate_path,
 )
-from .stats import Estimate
+from .stats import Estimate, JointPmf
 from .words import Word, alternating_word, bernoulli_word, constant_word
 
 __version__ = "0.1.0"

@@ -88,11 +88,13 @@ def _seed(text: str) -> int:
 
 def _check_printable(bits: int) -> None:
     """Refuse, before computing it, an exact probability over 2**bits whose
-    denominator could pass Python's limit on int-to-str digits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    denominator could pass Python's limit on int-to-str digits, or its
+    default limit when that is off (0) or missing."""
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
     # exact rational arithmetic: bits may be too large for a float
     digits = int(bits * Fraction(math.log10(2))) + 1
-    if limit and digits > limit:
+    if digits > limit:
         raise BudgetError(
             "the exact probability has a denominator of up to 2^%d (%d "
             "digits), over the %d-digit limit of int-to-str conversion (set "

@@ -34,7 +34,7 @@ from itertools import accumulate
 from ._lazy import np
 from .errors import PropertyViolation
 from .rng import RngSpec
-from .runner import PerBlock, run_chunked
+from .runner import PerBlock, check_replica, run_chunked
 from .stats import Estimate
 from .words import Word, pack_rows, unpack_rows
 
@@ -275,7 +275,8 @@ def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
     compatible; psi(n) is the mean of T >= n.  The first n uniforms of a
     stream do not depend on how many follow, so each estimate equals
     `psi_mc(p, n, ...)` exactly, and the estimates are non-increasing in n
-    sample by sample.
+    sample by sample.  A replica past `runner.check_replica`'s bounds
+    raises BudgetError before any draw.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -283,7 +284,10 @@ def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
         raise ValueError("give at least one horizon n")
     if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    fn = partial(_horizon_chunk, rng=rng, p=p, N=max(ns))
+    N = max(ns)
+    # two words of N letters, swept as N rows of an (N + 2)-bit lane
+    check_replica(2 * N, N * (N + 2))
+    fn = partial(_horizon_chunk, rng=rng, p=p, N=N)
     horizons = run_chunked(fn, replicas, workers)
     return [Estimate.from_samples(horizons >= n, rng) for n in ns]
 

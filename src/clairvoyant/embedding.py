@@ -28,15 +28,11 @@ from functools import partial
 from ._lazy import np
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import PerBlock, run_chunked
+from .runner import PerBlock, check_replica, run_chunked
 from .stats import Estimate
 from .words import Word, gap_frontiers, pack_rows, unpack_rows
 
 DEFAULT_BUDGET = 1 << 23
-# A Monte Carlo replica draws M*n target letters (8 bytes each) and sweeps
-# n frontiers of M*n bits; past either bound it is refused before any draw
-MC_LETTERS = 1 << 24
-MC_BIT_STEPS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -432,14 +428,6 @@ def _embeds_block(rows: np.ndarray, n: int, M: int,
     return unpack_rows(last, B, W).any(axis=1)
 
 
-def _check_replica(M: int, n: int) -> None:
-    L = M * n
-    if L > MC_LETTERS or n * L > MC_BIT_STEPS:
-        raise BudgetError("a replica draws %d target letters and sweeps %d "
-                          "bit-steps, over the bounds of %d letters and %d "
-                          "bit-steps" % (L, n * L, MC_LETTERS, MC_BIT_STEPS))
-
-
 def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
                   p_y: float = 0.5, workers: int = 1) -> Estimate:
     """Monte Carlo estimate of P(v M-embeds into an iid Bernoulli target)."""
@@ -447,7 +435,7 @@ def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
         raise ValueError("gap bound M must be >= 1")
     if not 0.0 <= p_y <= 1.0:
         raise ValueError("p_y must lie in [0, 1]")
-    _check_replica(M, len(v))
+    check_replica(M * len(v), M * len(v) ** 2, "target letters")
     probs = np.full(M * len(v), p_y)
     fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
                   probs.size, n=len(v), M=M, vbits=v.bits)
@@ -468,7 +456,7 @@ def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
     for p in (p_x, p_y):
         if not 0.0 <= p <= 1.0:
             raise ValueError("letter densities must lie in [0, 1]")
-    _check_replica(M, n)
+    check_replica(M * n, M * n * n, "target letters")
     probs = np.concatenate([np.full(n, p_x), np.full(M * n, p_y)])
     fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
                   probs.size, n=n, M=M, vbits=None)

@@ -5,11 +5,12 @@ box receives a density X_i drawn from a finite distribution mu, and every
 vertex (i, j) is then open with probability X_i independently.  Dependence
 runs along columns (the vertical direction), so the horizontal crossing of
 a box is the statistic that feels the environment.  The crossing floods the
-open cells 4-connected from column 0 with `lattice.flood`, one BFS layer at
+open cells 4-connected from column 0 with `words.flood`, one BFS layer at
 a time, and stops as soon as the flood reaches column n-1.
 
-`JointPmf` and `kwise_test` are the generic exact machinery: a joint law of
-binary variables as rationals, and a subset-by-subset product-form check.
+`kwise_test` is the generic exact machinery: it checks a `stats.JointPmf`,
+a joint law of binary variables as rationals, subset by subset against the
+product law `product_pmf` of its one-variable marginals.
 """
 
 from __future__ import annotations
@@ -18,47 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product
-from typing import Mapping
 
 from ._lazy import np
-from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
-from .stats import Estimate
-
-
-@dataclass(frozen=True)
-class JointPmf:
-    """Exact joint law of k binary variables."""
-
-    labels: tuple[str, ...]
-    probs: Mapping[tuple[int, ...], Fraction]
-
-    def __post_init__(self):
-        k = len(self.labels)
-        for o in self.probs:
-            if len(o) != k or any(b not in (0, 1) for b in o):
-                raise ValueError("outcomes must be {0,1} vectors of width %d" % k)
-        if any(pr < 0 for pr in self.probs.values()):
-            raise ValueError("probabilities must be >= 0")
-        if sum(self.probs.values(), Fraction(0)) != 1:
-            raise ValueError("probabilities must sum to 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.labels)
-
-    def marginal(self, indices: tuple[int, ...]) -> "JointPmf":
-        probs: dict[tuple[int, ...], Fraction] = {}
-        for o, pr in self.probs.items():
-            sub = tuple(o[i] for i in indices)
-            probs[sub] = probs.get(sub, Fraction(0)) + pr
-        return JointPmf(tuple(self.labels[i] for i in indices), probs)
-
-    def prob_one(self, index: int) -> Fraction:
-        return sum(
-            (pr for o, pr in self.probs.items() if o[index] == 1), Fraction(0)
-        )
+from .stats import Estimate, JointPmf
+from .words import SQUARE_STEPS, flood, pack_box
 
 
 def product_pmf(ps: list[Fraction]) -> JointPmf:
@@ -100,10 +66,8 @@ def kwise_test(pmf: JointPmf, k: int) -> KwiseReport:
     for size in range(1, k + 1):
         for subset in combinations(range(pmf.k), size):
             marg = pmf.marginal(subset)
-            for o in product((0, 1), repeat=size):
-                expected = Fraction(1)
-                for i, b in zip(subset, o):
-                    expected *= singles[i] if b else 1 - singles[i]
+            law = product_pmf([singles[i] for i in subset])
+            for o, expected in law.probs.items():
                 joint = marg.probs.get(o, Fraction(0))
                 gap = abs(joint - expected)
                 if gap > worst_gap:
@@ -194,7 +158,7 @@ def crosses_horizontally(config: np.ndarray) -> bool:
     bits, stride = pack_box(config)
     last = (config.shape[0] - 1) * stride
     return any(seen >> last for seen in
-               flood(bits, stride, LatticeKind.SQUARE, (1 << stride) - 1))
+               flood(bits, stride, SQUARE_STEPS, (1 << stride) - 1))
 
 
 def _column_block(u: np.ndarray, mu: FiniteDistribution,

@@ -15,8 +15,8 @@ neighbour with one byte lookup in the mask of the letter the next step
 needs, a mask that also drops the cells on the path, so the letter test
 and the self-avoidance test cost one read.  The constant word
 is pruned first: it needs a letter-cluster of n cells next to the origin.
-`flood`, on a box `pack_box` packs into one int, finds that cluster, and
-also serves the environment crossing and the undirected scheduling escape.
+`words.flood`, on a box `words.pack_box` packs into one int, finds that
+cluster.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate
-from .words import (Word, alternating_word, constant_word, gap_frontiers,
-                    pack_mask, pack_rows)
+from .words import (SQUARE_STEPS, Word, alternating_word, constant_word,
+                    flood, gap_frontiers, pack_box, pack_mask)
 
 
 class LatticeKind(Enum):
@@ -45,40 +45,13 @@ class LatticeKind(Enum):
         return _OFFSETS[self]
 
 
+# triangular = square plus one fixed diagonal per face; close-packed both
+_DIAGONAL = ((1, 1), (-1, -1))
 _OFFSETS = {
-    # triangular = square plus one fixed diagonal per face; close-packed both
-    LatticeKind.SQUARE: ((1, 0), (-1, 0), (0, 1), (0, -1)),
-    LatticeKind.TRIANGULAR: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
-    LatticeKind.CLOSE_PACKED: (
-        (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
-    ),
+    LatticeKind.SQUARE: SQUARE_STEPS,
+    LatticeKind.TRIANGULAR: SQUARE_STEPS + _DIAGONAL,
+    LatticeKind.CLOSE_PACKED: SQUARE_STEPS + _DIAGONAL + ((1, -1), (-1, 1)),
 }
-
-
-def pack_box(cells: np.ndarray) -> tuple[int, int]:
-    """(bits, stride): cell (i, j) of an H x W 0/1 array is bit i*stride + j.
-
-    stride = W + 1 leaves column W empty, so no lattice step wraps a row.
-    """
-    stride = cells.shape[1] + 1
-    return pack_rows(cells, stride), stride
-
-
-def flood(bits: int, stride: int, kind: LatticeKind, seed: int):
-    """Yield the cells of bits reached from seed & bits, one BFS layer more
-    each time: front = OR_s(front << s) & bits & ~seen, s = di*stride + dj.
-    """
-    shifts = [di * stride + dj for di, dj in kind.offsets]
-    seen = front = seed & bits
-    unseen = bits ^ front
-    while front:
-        yield seen
-        grown = 0
-        for s in shifts:
-            grown |= front << s if s > 0 else front >> -s
-        front = grown & unseen
-        unseen ^= front
-        seen |= front
 
 
 @dataclass(frozen=True)
@@ -152,6 +125,11 @@ class BlockGrid:
     good: np.ndarray
 
 
+def _good_blocks(rows: np.ndarray) -> np.ndarray:
+    """Does each R x R block of rows hold both letters?"""
+    return rows.any((1, 2)) & ~rows.all((1, 2))
+
+
 def block_grid(field: Field2D, R: int) -> BlockGrid:
     if R < 1:
         raise ValueError("R must be >= 1")
@@ -160,9 +138,8 @@ def block_grid(field: Field2D, R: int) -> BlockGrid:
     if nbi == 0 or nbj == 0:
         raise ValueError("field smaller than one block")
     view = field.cells[: nbi * R, : nbj * R].reshape(nbi, R, nbj, R)
-    has1 = view.any(axis=(1, 3))
-    has0 = (view == 0).any(axis=(1, 3))
-    return BlockGrid(R=R, good=has1 & has0)
+    blocks = view.swapaxes(1, 2).reshape(-1, R, R)
+    return BlockGrid(R=R, good=_good_blocks(blocks).reshape(nbi, nbj))
 
 
 def block_relation_targets(block: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -250,7 +227,7 @@ def embed_word_2d(w: Word, field: Field2D, R: int,
         sub = field.cells[(bi - 1) * R: bi * R, (bj - 1) * R: bj * R]
         if sub.shape != (R, R):
             raise ValueError("block (%d,%d) exceeds the field" % (bi, bj))
-        if not (sub.any() and (sub == 0).any()):
+        if not _good_blocks(sub[None])[0]:
             raise ValueError("block (%d,%d) is not good" % (bi, bj))
         hits = np.argwhere(sub == w[k])
         li, lj = hits[0]
@@ -298,7 +275,8 @@ def _constant_prune(cells: np.ndarray, kind: LatticeKind,
     for di, dj in kind.offsets:
         a, b = i + di, j + dj
         if 0 <= a < h and 0 <= b < w and bits >> (a * stride + b) & 1:
-            for seen in flood(bits, stride, kind, 1 << (a * stride + b)):
+            for seen in flood(bits, stride, kind.offsets,
+                              1 << (a * stride + b)):
                 if seen.bit_count() >= n:
                     return False
             bits ^= seen
@@ -422,11 +400,6 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
         alternating_exhausted=int((codes[:, 0] == 2).sum()),
         constant_exhausted=int((codes[:, 1] == 2).sum()),
     )
-
-
-def _good_blocks(rows: np.ndarray) -> np.ndarray:
-    """Does each R x R block of rows hold both letters?"""
-    return rows.any((1, 2)) & ~rows.all((1, 2))
 
 
 def block_good_mc(p: float, R: int, replicas: int, rng: RngSpec,

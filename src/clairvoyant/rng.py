@@ -18,9 +18,9 @@ give; the first letters of a stream do not depend on how many follow, so
 a kernel can redraw a few of its streams longer.  Short rows come from one
 numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
 bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
-:meth:`RngSpec.generators`, which rewinds one generator to each stream of
-the array in turn.  :meth:`RngSpec.bernoulli_rows` compares uniform rows
-with densities.  :meth:`RngSpec.integer_rows` draws what each stream's
+`_rewound`, which rewinds one generator to each stream of the array in
+turn.  :meth:`RngSpec.bernoulli_rows` compares uniform rows with
+densities.  :meth:`RngSpec.integer_rows` draws what each stream's
 ``integers(1, M + 1)`` gives: it maps the rows' raw words in one pass, as
 numpy does by Lemire's multiply-and-shift ``((u M) >> 32) + 1``, and
 hands back to numpy only the rows where it would reject a value and draw
@@ -183,36 +183,6 @@ class RngSpec:
         return np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
-    def generators(self, ids) -> Iterator[np.random.Generator]:
-        """Per stream id in ids, a generator at the start of that stream.
-
-        The generator yielded for id k draws what
-        ``self.stream(k).generator()`` draws.  One generator is rewound
-        for every id, so it is valid only until the next one is yielded.
-        Bad ids are refused here, before anything is yielded.
-        """
-        ids = _id_array(ids).tolist()
-        # a fixed key: every yield rewinds it, and seeding from OS entropy
-        # would only cost time
-        gen = np.random.Generator(np.random.Philox(key=0))
-        bits = gen.bit_generator
-        # assigning this dict, its key set to (seed, k), rewinds a Philox to
-        # the start of stream k: counter, buffer and the spare half-word of
-        # an int32 draw are all reset.  numpy copies the values, so one dict
-        # serves every rewind
-        start = {"bit_generator": "Philox",
-                 "state": {"counter": _ZEROS, "key": None},
-                 "buffer": _ZEROS, "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        state = start["state"]
-        seed = self.master_seed
-
-        def rewound(k):
-            state["key"] = (seed, k)
-            bits.state = start
-            return gen
-        return map(rewound, ids)
-
     def uniform_rows(self, ids, letters: int) -> np.ndarray:
         """Uniforms on [0, 1), one float64 row of letters per stream id.
 
@@ -220,12 +190,12 @@ class RngSpec:
         the i-th id k_i.  Rows of at most ``BATCHED_LETTERS`` letters come
         from `_philox_words`, at most ``_LANES`` lanes a pass, as numpy
         makes a uniform of a raw word x: ``(x >> 11) 2^-53``.  Longer rows
-        come from numpy's ``random`` on `generators`.
+        come from numpy's ``random`` on `_rewound`.
         """
         ids = _id_array(ids)
         u = np.empty((len(ids), letters))
         if letters > BATCHED_LETTERS:
-            for row, gen in zip(u, self.generators(ids)):
+            for row, gen in zip(u, _rewound(self.master_seed, ids)):
                 gen.random(out=row)
             return u
         for a, words in _batched_words(self.master_seed, ids, letters):
@@ -259,7 +229,7 @@ class RngSpec:
             words = -(-count // 2)
             if words > BATCHED_LETTERS:
                 raw = np.empty((len(ids), words), np.uint64)
-                for row, gen in zip(raw, self.generators(ids)):
+                for row, gen in zip(raw, _rewound(self.master_seed, ids)):
                     row[:] = gen.bit_generator.random_raw(words)
                 chunks = [(0, raw)]
             else:
@@ -269,7 +239,7 @@ class RngSpec:
                 redraw[a:b] = _bounded(raw, M, rows[a:b])
         if redraw.any():
             for i, gen in zip(np.flatnonzero(redraw),
-                              self.generators(ids[redraw])):
+                              _rewound(self.master_seed, ids[redraw])):
                 rows[i] = gen.integers(1, M + 1, size=count)
         return rows
 
@@ -283,6 +253,31 @@ class RngSpec:
         probs = np.asarray(probs, dtype=float)
         u = self.uniform_rows(ids, probs.size)
         return u.reshape((len(u),) + probs.shape) < probs
+
+
+def _rewound(seed: int, ids: np.ndarray) -> Iterator[np.random.Generator]:
+    """Per id of the checked uint64 array ids, a generator at the start of
+    stream (seed, id): it draws what ``RngSpec(seed, id).generator()``
+    draws.  One generator is rewound for every id, so it is valid only
+    until the next one is yielded.
+    """
+    # a fixed key: every yield rewinds it, and seeding from OS entropy
+    # would only cost time
+    gen = np.random.Generator(np.random.Philox(key=0))
+    bits = gen.bit_generator
+    # assigning this dict, its key set to (seed, k), rewinds a Philox to
+    # the start of stream k: counter, buffer and the spare half-word of
+    # an int32 draw are all reset.  numpy copies the values, so one dict
+    # serves every rewind
+    start = {"bit_generator": "Philox",
+             "state": {"counter": _ZEROS, "key": None},
+             "buffer": _ZEROS, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    state = start["state"]
+    for k in ids.tolist():
+        state["key"] = (seed, k)
+        bits.state = start
+        yield gen
 
 
 def _id_array(ids) -> np.ndarray:

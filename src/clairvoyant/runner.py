@@ -46,6 +46,7 @@ import signal
 from typing import Callable
 
 from ._lazy import np
+from .errors import BudgetError
 
 ChunkFn = Callable[[int, int], "np.ndarray"]
 DrawFn = Callable[["np.ndarray"], "np.ndarray"]
@@ -53,6 +54,20 @@ DrawFn = Callable[["np.ndarray"], "np.ndarray"]
 # The most letters PerBlock draws into one block: 512 KiB of float64
 # uniforms or int64 walk values.
 BLOCK_LETTERS = 1 << 16
+
+# The most letters (8 bytes each) one replica of a bit-parallel kernel may
+# draw, and bit-steps it may sweep in one int
+MC_LETTERS = 1 << 24
+MC_BIT_STEPS = 1 << 32
+
+
+def check_replica(letters: int, bit_steps: int, what="letters") -> None:
+    """Refuse, before any draw, a replica past either bound."""
+    if letters > MC_LETTERS or bit_steps > MC_BIT_STEPS:
+        raise BudgetError("a replica draws %d %s and sweeps %d bit-steps, "
+                          "over the bounds of %d letters and %d bit-steps"
+                          % (letters, what, bit_steps, MC_LETTERS,
+                             MC_BIT_STEPS))
 
 
 class PerBlock:

@@ -45,13 +45,11 @@ from fractions import Fraction
 from functools import partial
 
 from ._lazy import np
-from .environment import JointPmf
 from .errors import BudgetError, PropertyViolation
-from .lattice import LatticeKind, flood, pack_box
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
-from .stats import Estimate
-from .words import pack_mask, unpack_rows
+from .stats import Estimate, JointPmf
+from .words import SQUARE_STEPS, flood, pack_box, pack_mask, unpack_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,27 +274,18 @@ class CouplingReport:
 
 def _superset_broken(big: np.ndarray, red: np.ndarray) -> np.ndarray:
     """Per walk pair of a block, whether some cell open in the reduced grid
-    is closed in the big one: whether a big letter on both walks meets two
-    reduced letters.  Each row of letters is sorted by (big, reduced)
-    value, so a group of equal big letters holds its reduced letters in
-    order, and carries two of them iff its first and last differ.
+    is closed in the big one: whether a big letter on both walks, a rank
+    > 0 of the pair's `_shared_ranks`, meets two reduced letters.  kept
+    holds one reduced letter of each (pair, rank) group, whichever the
+    scatter writes last, and the group holds two iff a letter differs.
     """
-    rows = len(big)
-    width = big[0].size
-    v, r = big.reshape(rows, width), red.reshape(rows, width)
-    order = np.lexsort((r, v))
-    on_y = (order >= width // 2).ravel()
-    v = np.take_along_axis(v, order, axis=1).ravel()
-    r = np.take_along_axis(r, order, axis=1).ravel()
-    first = np.ones(v.size, dtype=bool)
-    first[1:] = v[1:] != v[:-1]
-    first[::width] = True
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], v.size) - 1
-    both = (np.logical_or.reduceat(on_y, starts)
-            & ~np.logical_and.reduceat(on_y, starts))
-    bad = starts[both & (r[starts] != r[ends])] // width
-    return np.bincount(bad, minlength=rows) > 0
+    rows, _, width = big.shape
+    ranks = np.concatenate(_shared_ranks(big[:, 0], big[:, 1]), axis=1)
+    group = ranks + np.arange(rows)[:, None] * (width + 1)
+    r = red.reshape(rows, 2 * width)
+    kept = np.empty(rows * (width + 1), dtype=r.dtype)
+    kept[group] = r
+    return ((kept[group] != r) & (ranks > 0)).any(axis=1)
 
 
 def _coupling_block(walks: np.ndarray, M: int, depth: int) -> np.ndarray:
@@ -357,14 +346,14 @@ def _escapes(x: np.ndarray, y: np.ndarray, box: int) -> bool:
     column = ((1 << s * (box + 1)) - 1) // ((1 << s) - 1) << box
     border = ((1 << box + 1) - 1) << box * s | column
     return any(seen & border for seen in
-               flood(bits, s, LatticeKind.SQUARE, 1))
+               flood(bits, s, SQUARE_STEPS, 1))
 
 
 def undirected_escape(grid: ScheduleGrid, box: int) -> bool:
     """Whether the origin's open cluster reaches the boundary of [0, box]^2.
 
     Adjacency is the undirected 4-neighbor one, restricted to the quadrant.
-    The box is packed by `lattice.pack_box` and flooded from the origin one
+    The box is packed by `words.pack_box` and flooded from the origin one
     BFS layer at a time until a layer touches row or column box.
     """
     if box < 0:

@@ -8,7 +8,9 @@ package can work on machine words; index ``i`` of the word is bit ``i`` of
 `pack_rows` and `unpack_rows` give the lane layout of the block kernels:
 row b of a bool array at bits b*stride and up of one int.  `gap_frontiers`
 is the forward sweep of gap-bounded embedding, which block percolation
-runs with gaps 1..2.
+runs with gaps 1..2.  `pack_box` packs a 2-D box with one empty column, and
+`flood` grows a cluster in it one BFS layer at a time, for the lattice
+walks, the environment crossing and the undirected scheduling escape.
 """
 
 from __future__ import annotations
@@ -131,6 +133,37 @@ def gap_frontiers(r: int, masks, M: int):
         yield r
         if not r:
             return
+
+
+def pack_box(cells: np.ndarray) -> tuple[int, int]:
+    """(bits, stride): cell (i, j) of an H x W 0/1 array is bit i*stride + j.
+
+    stride = W + 1 leaves column W empty, so no lattice step wraps a row.
+    """
+    stride = cells.shape[1] + 1
+    return pack_rows(cells, stride), stride
+
+
+# The 4-neighbour steps (di, dj) of the square lattice
+SQUARE_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def flood(bits: int, stride: int, steps, seed: int):
+    """Yield the cells of bits reached from seed & bits, one BFS layer more
+    each time: front = OR_s(front << s) & bits & ~seen, s = di*stride + dj
+    for each step (di, dj).
+    """
+    shifts = [di * stride + dj for di, dj in steps]
+    seen = front = seed & bits
+    unseen = bits ^ front
+    while front:
+        yield seen
+        grown = 0
+        for s in shifts:
+            grown |= front << s if s > 0 else front >> -s
+        front = grown & unseen
+        unseen ^= front
+        seen |= front
 
 
 def alternating_word(n: int) -> Word:

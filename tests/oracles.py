@@ -435,6 +435,15 @@ def coupling_replica(spec, M, k, depth):
     return broken, survives(rx, ry), survives(x, y)
 
 
+def superset_broken(big, red):
+    """Per walk pair b of a block, big[b] = (x, y) and red[b] = (rx, ry):
+    whether some cell (i, j) has x_i = y_j, closed in the big grid, but
+    rx_i != ry_j, open in the reduced one."""
+    return [any(x[i] == y[j] and rx[i] != ry[j]
+                for i in range(len(x)) for j in range(len(y)))
+            for (x, y), (rx, ry) in zip(big.tolist(), red.tolist())]
+
+
 def horizon_replica(spec, p, N):
     """Largest compatible horizon <= N of replica k = spec.stream_id: x
     from stream 2k and y from stream 2k + 1, each from a fresh generator."""

@@ -706,6 +706,10 @@ _SAYS = {
         "refused: a replica draws 100000000 target letters and sweeps "
         "100000000000 bit-steps, over the bounds of 16777216 letters and "
         "4294967296 bit-steps",
+    "compat mc --p 0.2 --n 1000000 --replicas 20":
+        "refused: a replica draws 2000000 letters and sweeps 1000002000000 "
+        "bit-steps, over the bounds of 16777216 letters and 4294967296 "
+        "bit-steps",
 }
 
 
@@ -785,6 +789,9 @@ _SAYS = {
     "embed recursion --M 100000000000000000000000 --n 0",
     # one replica of 10^8 letters: refused before its 800 MB draw
     "embed mc --M 100000 --n 1000 --replicas 1",
+    # one replica sweeps 10^6 rows of a 10^6-bit lane: refused before any
+    # draw, where it ran past 20 s
+    "compat mc --p 0.2 --n 1000000 --replicas 20",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:
@@ -810,6 +817,27 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("refused: ") or "error" in err
     assert "Traceback" not in err
     assert _SAYS.get(" ".join(argv), "") in err
+
+
+@pytest.mark.parametrize("off", ["zero", "missing"])
+def test_digit_bound_holds_with_the_limit_off(monkeypatch, capsys, off):
+    # PYTHONINTMAXSTRDIGITS=0 turns the interpreter's limit off, and older
+    # interpreters have none; the default limit, 4300 digits, then applies
+    if off == "zero":
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    else:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.setattr(sys, "int_info", argparse.Namespace())
+    assert cli.main(["embed", "recursion", "--M", "1000000", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: the exact probability has a denominator "
+                          "of up to 2^3000000 (903090 digits), over the "
+                          "4300-digit limit")
+    # 2^14284 has 4300 digits and prints; 2^14285 has 4301
+    for bits, code in ((14284, 0), (14285, 2)):
+        assert cli.main(["embed", "recursion", "--M", str(bits),
+                         "--n", "1"]) == code
+        capsys.readouterr()
 
 
 def test_survive_literal_walks_past_int64(tmp_path):

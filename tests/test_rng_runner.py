@@ -48,8 +48,8 @@ def test_rng_rejects_negative_stream():
         RngSpec(1, -1)
     assert RngSpec(1).stream(3).stream_id == 3
     with pytest.raises(ValueError):
-        next(RngSpec(1).generators(range(-1, 2)))
-    assert list(RngSpec(1).generators(range(3, 3))) == []
+        RngSpec(1).uniform_rows(range(-1, 2), rng.BATCHED_LETTERS + 1)
+    assert list(rng._rewound(1, rng._id_array(range(3, 3)))) == []
 
 
 def _fresh(seed, k):
@@ -70,12 +70,14 @@ def test_generator_refuses_stream_ids_past_64_bits():
 
 
 def test_generators_refuse_stream_ids_past_64_bits():
+    # the rewound rows: ids up to 2^64 - 1 drawn, and 2^64 refused
+    letters = rng.BATCHED_LETTERS + 1
     last = range(2**64 - 2, 2**64)
-    assert [g.random() for g in RngSpec(1).generators(last)] \
+    assert [g.random() for g in rng._rewound(1, rng._id_array(last))] \
         == [_fresh(1, k).random() for k in last]
     for ids in (range(2**64, 2**64 + 1), range(2**64 - 1, 2**64 + 1)):
         with pytest.raises(ValueError, match=r"2\^64"):
-            next(RngSpec(1).generators(ids))
+            RngSpec(1).uniform_rows(ids, letters)
 
 
 @pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
@@ -198,7 +200,8 @@ def test_bernoulli_rows_of_id_arrays_equal_fresh_philox(seed, letters):
 
 @pytest.mark.parametrize("letters", [3, rng.BATCHED_LETTERS + 1])
 def test_bernoulli_rows_refuse_ids_outside_64_bits(letters):
-    # uniform_rows and generators refuse the same ids, in the same words
+    # the row methods refuse the same ids, in the same words, on batched
+    # and rewound rows
     probs = np.full(letters, 0.5)
     for ids in ([2**64], [3, 2**64 + 5], [-1], [2**64 - 1, -1],
                 np.array([5, -2]), (2**70,)):
@@ -208,8 +211,6 @@ def test_bernoulli_rows_refuse_ids_outside_64_bits(letters):
             RngSpec(1).uniform_rows(ids, letters)
         with pytest.raises(ValueError, match=r"2\^64"):
             RngSpec(1).integer_rows(ids, 4, letters)
-        with pytest.raises(ValueError, match=r"2\^64"):
-            RngSpec(1).generators(ids)
 
 
 # M = 3 * 2^30 rejects a uint32 u when (u M) mod 2^32 < 2^30, one u in
@@ -239,14 +240,14 @@ def test_integer_rows_equal_fresh_philox(monkeypatch, M):
     for empty in ([], np.zeros(0, dtype=np.uint64)):
         assert RngSpec(1).integer_rows(empty, M, 3).shape == (0, 3)
     # only the rows numpy draws again go back to numpy, through
-    # generators, and past 2^32 every row does
+    # _rewound, and past 2^32 every row does
     redrawn = []
-    generators = RngSpec.generators
+    rewound = rng._rewound
 
-    def spy(self, ids):
-        redrawn.extend(rng._id_array(ids).tolist())
-        return generators(self, ids)
-    monkeypatch.setattr(RngSpec, "generators", spy)
+    def spy(seed, ids):
+        redrawn.extend(ids.tolist())
+        return rewound(seed, ids)
+    monkeypatch.setattr(rng, "_rewound", spy)
     RngSpec(1).integer_rows(range(200), M, 3)
     if M > 2**32:
         assert redrawn == list(range(200))
@@ -335,7 +336,7 @@ def _one_off(offset):
 
 def _rewound(offset):
     ids = range(100 * offset, 100 * offset + 100)
-    yield from zip(ids, RngSpec(9).generators(ids))
+    yield from zip(ids, rng._rewound(9, rng._id_array(ids)))
 
 
 def test_generator_reuse_across_threads():
@@ -345,12 +346,16 @@ def test_generator_reuse_across_threads():
     bad = []
 
     def work(offset):
-        for draws in (_one_off, _rewound):
-            for k, g in draws(offset):
-                first = g.random(3)
-                if not ((first == want[k][:3]).all()
-                        and (g.random(3) == want[k][3:]).all()):
-                    bad.append((draws.__name__, k))
+        # an exception would end only this thread, so it is recorded
+        try:
+            for draws in (_one_off, _rewound):
+                for k, g in draws(offset):
+                    first = g.random(3)
+                    if not ((first == want[k][:3]).all()
+                            and (g.random(3) == want[k][3:]).all()):
+                        bad.append((draws.__name__, k))
+        except Exception as exc:
+            bad.append(repr(exc))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -431,7 +436,7 @@ def _int32_then_buffer_crossing(g):
 def test_generators_rewind_after_int32_and_buffer_crossing():
     for ids in (range(6), range(2**64 - 4, 2**64), [5, 2**64 - 1, 5, 0]):
         got = [_int32_then_buffer_crossing(g)
-               for g in RngSpec(3).generators(ids)]
+               for g in rng._rewound(3, rng._id_array(ids))]
         want = [_int32_then_buffer_crossing(_fresh(3, k)) for k in ids]
         assert len(got) == len(ids)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -504,9 +509,9 @@ def test_per_block_row_k_is_stream_k():
         assert got.tolist() == want
 
 
-def _integer_rows(ids, rng, size):
+def _integer_rows(ids, seed, size):
     return np.array([g.integers(0, 1000, size=size)
-                     for g in rng.generators(ids)])
+                     for g in rng._rewound(seed, rng._id_array(ids))])
 
 
 def test_per_block_of_generator_draws_row_k_is_stream_k():
@@ -514,8 +519,8 @@ def test_per_block_of_generator_draws_row_k_is_stream_k():
     assert BLOCK_LETTERS // size < 40            # several blocks a chunk
     want = [_fresh(4, k).integers(0, 1000, size=size).sum()
             for k in range(40)]
-    fn = PerBlock(_row_sums, partial(_integer_rows, rng=RngSpec(4),
-                                     size=size), size)
+    fn = PerBlock(_row_sums, partial(_integer_rows, seed=4, size=size),
+                  size)
     for workers in (1, 2, 3):
         assert run_chunked(fn, 40, workers).tolist() == want
     cuts = (0, 1, 4, 25, 40)       # uneven chunks, some inside one block

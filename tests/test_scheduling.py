@@ -33,6 +33,7 @@ from oracles import (
     brute_path_survives,
     curve_replica,
     escape_replica,
+    superset_broken,
 )
 
 
@@ -432,6 +433,27 @@ def test_superset_check_flags_only_pairs_that_break_it():
                     [[2, 2, 2], [1, 1, 1]]])
     assert scheduling._superset_broken(big, red).tolist() == \
         [False, True, False, False, False]
+
+
+@pytest.mark.parametrize("pool", [range(1, 4), range(1, 41), range(1, 301),
+                                  range(2**70, 2**70 + 8)])
+def test_superset_check_matches_per_cell_oracle(pool):
+    # the reduced letters are the walks' own reductions but for a few cells
+    # set at random, so pairs where such a cell meets an equal big letter
+    # break the superset; pools as in the _shared_ranks oracle test
+    rnd = random.Random(len(pool))
+    rows, width = 200, 12
+    big = np.array([[[rnd.choice(pool) for _ in range(width)] for _ in "xy"]
+                    for _ in range(rows)], dtype=object)
+    red = reduce_value(big, 3)
+    for _ in range(150):
+        red[rnd.randrange(rows), rnd.randrange(2),
+            rnd.randrange(width)] = rnd.randrange(1, 5)
+    if pool[-1] < 2**63:
+        big, red = big.astype(np.int64), red.astype(np.int64)
+    got = scheduling._superset_broken(big, red).tolist()
+    assert got == superset_broken(big, red)
+    assert 0 < sum(got) < rows
 
 
 def test_coupling_counts_match_per_replica_oracle():

@@ -25,9 +25,10 @@ def test_no_bare_asserts_in_package():
 
 
 def test_only_rng_turns_streams_into_values():
-    # one draw interface: outside rng.py no module reads np.random or asks
-    # RngSpec for a generator; one-off draws go through its row methods.
-    # (runner.py imports numpy.random before it forks, and draws nothing)
+    # one draw interface: outside rng.py no module reads np.random, asks
+    # RngSpec for a generator or names the private rewind; one-off draws go
+    # through its row methods.  (runner.py imports numpy.random before it
+    # forks, and draws nothing)
     paths = sorted(SRC.glob("*.py"))
     assert {"rng.py", "scheduling.py", "lattice.py"} <= {p.name for p in paths}
     found = []
@@ -41,9 +42,50 @@ def test_only_rng_turns_streams_into_values():
             hit |= (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("generator", "generators"))
+            hit |= (isinstance(node, ast.Name) and node.id == "_rewound")
+            hit |= (isinstance(node, ast.Attribute)
+                    and node.attr == "_rewound")
+            hit |= (isinstance(node, ast.ImportFrom)
+                    and any(a.name == "_rewound" for a in node.names))
             if hit:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+MODELS = {"compatibility", "embedding", "environment", "lattice",
+          "scheduling"}
+SHARED = {"words", "rng", "runner", "stats", "errors", "_lazy"}
+
+
+def _package_imports(path):
+    """Short names of the package modules a module imports.  The package
+    imports its own modules by relative imports only."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module
+                         else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            absolute = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else [node.module]
+            assert not any(m.split(".")[0] == "clairvoyant"
+                           for m in absolute), path.name
+    return names
+
+
+def test_models_import_only_shared_layers():
+    # two layers: a model module imports the shared ones and no other
+    # model, and a shared module imports no model
+    paths = {p.stem: p for p in SRC.glob("*.py")}
+    assert MODELS | SHARED <= set(paths)
+    graph = {name: _package_imports(paths[name]) for name in MODELS | SHARED}
+    assert {name: sorted(graph[name] - SHARED) for name in MODELS} == \
+        {name: [] for name in MODELS}
+    assert {name: sorted(graph[name] & MODELS) for name in SHARED} == \
+        {name: [] for name in SHARED}
+    assert "lattice" not in graph["scheduling"] | graph["environment"]
+    assert "environment" not in graph["scheduling"]
+    assert {"words", "runner"} <= graph["scheduling"]
 
 
 def test_public_names_pinned():
