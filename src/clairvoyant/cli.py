@@ -21,7 +21,6 @@ refused for exceeding its budget.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -213,7 +212,7 @@ def _do_schedule_coupling(args):
     _check_walk_letters(args.k * args.M, "--k times --M")
     rep = sched.coupling_check(args.M, args.k, args.depth, args.replicas,
                                RngSpec(args.seed), workers=args.workers)
-    return [dataclasses.asdict(rep)]
+    return [{f: getattr(rep, f) for f in rep._fields}]
 
 
 def _do_schedule_undirected(args):

@@ -27,11 +27,11 @@ stage's end is the replica's T, at any N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 
 from ._lazy import np
+from ._record import Record
 from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, check_replica, run_chunked
@@ -39,8 +39,7 @@ from .stats import Estimate
 from .words import Word, pack_rows, unpack_rows
 
 
-@dataclass(frozen=True)
-class DeletionWitness:
+class DeletionWitness(Record):
     """Kept indices (1-based, increasing) into each word; skips are 0s."""
 
     kept_x: tuple[int, ...]
@@ -152,8 +151,7 @@ def compatible_prefix(x: Word, y: Word) -> DeletionWitness | None:
     return witness
 
 
-@dataclass(frozen=True)
-class MajorityCertificate:
+class MajorityCertificate(Record):
     """A horizon N where both words carry strictly more 1s than N/2."""
 
     N: int

@@ -21,11 +21,11 @@ The decision and the Monte Carlo estimators run the gap sweep
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from ._lazy import np
+from ._record import Record
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, check_replica, run_chunked
@@ -35,8 +35,7 @@ from .words import Word, gap_frontiers, pack_rows, unpack_rows
 DEFAULT_BUDGET = 1 << 23
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(Record):
     """1-based positions m_1 < ... < m_n realizing an M-embedding."""
 
     positions: tuple[int, ...]
@@ -188,8 +187,7 @@ def embed_prob_exact(v: Word, M: int,
     return Fraction(count, 1 << L)
 
 
-@dataclass(frozen=True)
-class RecursionParams:
+class RecursionParams(Record):
     """Coefficients of v_{n+1} = b v_n - c v_{n-1} for the alternating word."""
 
     M: int
@@ -222,8 +220,7 @@ def vn_recursion(M: int, n: int) -> list[Fraction]:
     return vals
 
 
-@dataclass(frozen=True)
-class CharRoots:
+class CharRoots(Record):
     """Roots of x**2 - b x + c and the rescaled gap-to-1 diagnostic."""
 
     M: int
@@ -253,8 +250,7 @@ def char_roots(M: int) -> CharRoots:
     return CharRoots(M, r_small, r_large, health)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Exact embedding probabilities for every word of one length."""
 
     n: int
@@ -376,8 +372,7 @@ def second_moment_ratio(n: int, M: int) -> Fraction:
     return _second_moment_ratios(n, M)[1]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     n: int
     M: int
     mean: Fraction

@@ -15,12 +15,12 @@ product law `product_pmf` of its one-variable marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product
 
 from ._lazy import np
+from ._record import Record
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate, JointPmf
@@ -38,16 +38,14 @@ def product_pmf(ps: list[Fraction]) -> JointPmf:
     return JointPmf(tuple("v%d" % i for i in range(len(ps))), probs)
 
 
-@dataclass(frozen=True)
-class KwiseViolation:
+class KwiseViolation(Record):
     subset: tuple[int, ...]
     outcome: tuple[int, ...]
     joint: Fraction
     expected: Fraction
 
 
-@dataclass(frozen=True)
-class KwiseReport:
+class KwiseReport(Record):
     k: int
     independent: bool
     worst: KwiseViolation | None
@@ -76,8 +74,7 @@ def kwise_test(pmf: JointPmf, k: int) -> KwiseReport:
     return KwiseReport(k=k, independent=worst is None, worst=worst)
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
+class FiniteDistribution(Record):
     """A finite distribution on [0, 1]: support points with exact weights."""
 
     points: tuple[Fraction, ...]
@@ -123,8 +120,7 @@ class FiniteDistribution:
                 np.array([float(p) for p in self.points]))
 
 
-@dataclass(frozen=True)
-class ColumnEnvironment:
+class ColumnEnvironment(Record):
     """A sampled environment: per-column densities and the open field."""
 
     mu: FiniteDistribution

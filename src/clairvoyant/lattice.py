@@ -22,11 +22,11 @@ cluster.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
 from ._lazy import np
+from ._record import Record
 from .errors import PropertyViolation
 from .rng import RngSpec
 from .runner import PerBlock, run_chunked
@@ -54,8 +54,7 @@ _OFFSETS = {
 }
 
 
-@dataclass(frozen=True)
-class Field2D:
+class Field2D(Record):
     """Binary array Y[i, j], 1 <= i <= W, 1 <= j <= H, at cells[i-1, j-1]."""
 
     cells: np.ndarray
@@ -117,8 +116,7 @@ def block_good_prob(p, R: int):
     return 1 - p**area - (1 - p) ** area
 
 
-@dataclass(frozen=True)
-class BlockGrid:
+class BlockGrid(Record):
     """Goodness of R x R blocks; block (I, J) is good[I-1, J-1]."""
 
     R: int
@@ -176,8 +174,7 @@ def block_percolation(field: Field2D, R: int,
     return tuple(path)
 
 
-@dataclass(frozen=True)
-class Embedding2DWitness:
+class Embedding2DWitness(Record):
     """Strictly increasing rows (m_i) and columns (n_i) with L1 gap bound."""
 
     rows: tuple[int, ...]
@@ -344,8 +341,7 @@ def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
             it = untried[k]
 
 
-@dataclass(frozen=True)
-class AbScanReport:
+class AbScanReport(Record):
     """Visibility frequencies of the two extremal words at one density."""
 
     p: float

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Iterator
 
 from ._lazy import np
+from ._record import Record
 
 _MASK64 = (1 << 64) - 1
 # seeds and stream ids are the two 64-bit words of a Philox key
@@ -159,8 +159,7 @@ def _bounded(raw: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
     return again
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(Record):
     """A reproducible random stream: master seed plus stream id."""
 
     master_seed: int

@@ -40,20 +40,19 @@ so that can be checked rather than assumed, at any M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from ._lazy import np
+from ._record import Record
 from .errors import BudgetError, PropertyViolation
 from .rng import RngSpec
-from .runner import PerBlock, run_chunked
+from .runner import PerBlock, check_replica, run_chunked
 from .stats import Estimate, JointPmf
 from .words import SQUARE_STEPS, flood, pack_box, pack_mask, unpack_rows
 
 
-@dataclass(frozen=True, eq=False)
-class ScheduleGrid:
+class ScheduleGrid(Record, eq=False):
     """Openness field of two walks on {1..M}, held as 1-D arrays;
     open(i, j) iff x[i] != y[j].
     """
@@ -98,8 +97,7 @@ def sample_grid(M: int, depth: int, rng: RngSpec) -> ScheduleGrid:
     return ScheduleGrid(*_walk_rows([rng.stream_id], rng, M, depth)[0], M)
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(Record):
     """Monotone path from the origin; one coordinate grows per step."""
 
     steps: tuple[tuple[int, int], ...]
@@ -230,6 +228,16 @@ def _survival_block(walks: np.ndarray, depths: tuple[int, ...]) -> np.ndarray:
     return np.column_stack([alive.get(d, dead) for d in depths])
 
 
+def _check_sweeps(depth: int, *alphabets: int) -> None:
+    """Refuse, before any draw, a replica that draws two walks of depth + 1
+    values and sweeps them to depth once on each alphabet: each of about
+    depth + 1 levels shifts masks of up to depth + 1 bits, once per shared
+    letter, and a pair shares at most min(alphabet, depth + 1) letters."""
+    n = depth + 1
+    check_replica(2 * n, n * n * sum(min(m, n) for m in alphabets),
+                  "walk values")
+
+
 def _curve_chunk_fn(M: int, depths, rng: RngSpec) -> PerBlock:
     """Row k: whether replica k survives to each of depths, on the walks
     `_walk_rows` draws from its stream."""
@@ -245,7 +253,8 @@ def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
 
     Each replica is swept once to the deepest requested level, so the
     estimates are monotone non-increasing in d sample by sample, not just
-    on average.
+    on average.  A replica past `runner.check_replica`'s bounds raises
+    BudgetError before any draw.
     """
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
@@ -253,6 +262,7 @@ def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
         raise ValueError("give at least one depth")
     if any(d < 0 for d in depths):
         raise ValueError("depths must be non-negative")
+    _check_sweeps(max(depths), M)
     alive = run_chunked(_curve_chunk_fn(M, depths, rng), replicas, workers)
     return [Estimate.from_samples(col, rng) for col in alive.T]
 
@@ -262,8 +272,7 @@ def reduce_value(v: int, M: int) -> int:
     return (v - 1) % M + 1
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(Record):
     M: int
     k: int
     depth: int
@@ -311,7 +320,9 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
 
     Raises PropertyViolation if any vertex open in the reduced grid is
     closed in the big grid, or if a reduced grid survives while its big
-    grid does not; either would contradict the coupling.
+    grid does not; either would contradict the coupling.  A replica past
+    `runner.check_replica`'s bounds, for its two sweeps, raises BudgetError
+    before any draw.
     """
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
@@ -319,6 +330,7 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
         raise ValueError("k must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    _check_sweeps(depth, M, k * M)
     res = run_chunked(_coupling_chunk_fn(M, k, depth, rng), samples, workers)
     superset_bad = int(res[:, 0].sum())
     ordering_bad = int((res[:, 1] & ~res[:, 2]).sum())

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from ._lazy import np
+from ._record import Record
 from .rng import RngSpec
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """Sample mean with its standard error and provenance."""
 
     mean: float
@@ -35,8 +34,7 @@ class Estimate:
         return abs(self.mean - value) <= k * self.stderr + 1e-12
 
 
-@dataclass(frozen=True)
-class JointPmf:
+class JointPmf(Record):
     """Exact joint law of k binary variables."""
 
     labels: tuple[str, ...]

@@ -15,10 +15,10 @@ walks, the environment crossing and the undirected scheduling escape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ._lazy import np
+from ._record import Record
 from .rng import RngSpec
 
 
@@ -26,8 +26,7 @@ _DIGITS = {0: "0", 1: "1"}
 _LETTER_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A finite word over {0, 1}, packed LSB-first into an int."""
 
     bits: int

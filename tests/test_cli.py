@@ -51,6 +51,12 @@ def test_startup_imports_no_scipy():
     assert _startup_modules("scipy") == "[]"
 
 
+def test_startup_imports_no_dataclasses():
+    # importing dataclasses (which loads inspect, ast, dis and tokenize) and
+    # decorating the value classes took about 20 ms of every CLI start-up
+    assert _startup_modules("dataclasses", "inspect") == "[]"
+
+
 def test_startup_imports_no_process_pool():
     # concurrent.futures.process took 16-22 ms of every CLI start-up
     assert _startup_modules("concurrent", "multiprocessing") == "[]"
@@ -710,6 +716,13 @@ _SAYS = {
         "refused: a replica draws 2000000 letters and sweeps 1000002000000 "
         "bit-steps, over the bounds of 16777216 letters and 4294967296 "
         "bit-steps",
+    "schedule curve --M 1000 --depths 30000 --replicas 2":
+        "refused: a replica draws 60002 walk values and sweeps 900060001000 "
+        "bit-steps, over the bounds of 16777216 letters and 4294967296 "
+        "bit-steps",
+    "schedule coupling --M 4 --k 2 --depth 1000000 --replicas 2":
+        "refused: a replica draws 2000002 walk values and sweeps "
+        "12000024000012 bit-steps, over the bounds",
 }
 
 
@@ -792,6 +805,11 @@ _SAYS = {
     # one replica sweeps 10^6 rows of a 10^6-bit lane: refused before any
     # draw, where it ran past 20 s
     "compat mc --p 0.2 --n 1000000 --replicas 20",
+    # while a walk pair survives, each level shifts masks of about depth
+    # bits once per shared letter: refused before any draw, where each ran
+    # past 15 s
+    "schedule curve --M 1000 --depths 30000 --replicas 2",
+    "schedule coupling --M 4 --k 2 --depth 1000000 --replicas 2",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:

@@ -54,7 +54,7 @@ def test_only_rng_turns_streams_into_values():
 
 MODELS = {"compatibility", "embedding", "environment", "lattice",
           "scheduling"}
-SHARED = {"words", "rng", "runner", "stats", "errors", "_lazy"}
+SHARED = {"words", "rng", "runner", "stats", "errors", "_lazy", "_record"}
 
 
 def _package_imports(path):
