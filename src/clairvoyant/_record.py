@@ -6,8 +6,8 @@ positionally or by keyword, then runs the class's ``__post_init__``.
 Assigning or deleting an attribute raises `FrozenInstanceError`, an
 AttributeError.  Records compare and hash by their field tuple, and only
 within one class; ``class C(Record, eq=False)`` keeps identity equality
-and hashing instead.  The repr is ``Name(field=value, ...)`` unless the
-class writes its own.
+and hashing instead, as every record holding numpy arrays does.  The
+repr is ``Name(field=value, ...)`` unless the class writes its own.
 
 This is all the package used of the standard library's frozen-class
 decorator, which cost every start-up about 20 ms: its module imports

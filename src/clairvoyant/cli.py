@@ -195,7 +195,7 @@ def _check_walk_letters(letters: int, flags: str) -> None:
     """Refuse, before any draw, walks on more letters than numpy's int64
     integers can take: they would fail deep in the draw, naming no flag."""
     if letters >= 1 << 63:
-        raise ValueError("%s must be below 2^63: walk values are drawn as "
+        raise ValueError("%s must be below 2^63: walk letters are drawn as "
                          "int64" % flags)
 
 
@@ -409,7 +409,7 @@ LEAVES = (
       ("--p-y", dict(type=float, default=0.5)))),
     ("schedule", "survive", "_do_schedule_survive", _SEED,
      (("--M", _INT), ("--depth", _INT),
-      ("--x", dict(default=None, help="comma-separated walk values")),
+      ("--x", dict(default=None, help="comma-separated walk letters")),
       ("--y", dict(default=None)))),
     ("schedule", "curve", "_do_schedule_curve", _REPLICAS,
      (("--M", _INT), ("--depths", _STR))),

@@ -423,19 +423,30 @@ def _embeds_block(rows: np.ndarray, n: int, M: int,
     return unpack_rows(last, B, W).any(axis=1)
 
 
+def _embed_mc(M: int, n: int, vbits: int | None, p_x: float, p_y: float,
+              replicas: int, rng: RngSpec, workers: int) -> Estimate:
+    """Monte Carlo estimate of P(word M-embeds into Y_{1..Mn}), Y iid
+    Bernoulli(p_y): the word is vbits, or with vbits None each replica's
+    own n Bernoulli(p_x) letters, drawn before its target.  Refused before
+    any draw past `runner.check_replica`'s bounds, for the letters a
+    replica draws and its n frontiers of M*n bits."""
+    if M < 1:
+        raise ValueError("gap bound M must be >= 1")
+    letters = (M + (vbits is None)) * n
+    check_replica(letters, M * n * n)
+    probs = np.full(letters, p_y)
+    probs[:letters - M * n] = p_x
+    fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
+                  letters, n=n, M=M, vbits=vbits)
+    return Estimate.from_samples(run_chunked(fn, replicas, workers), rng)
+
+
 def embed_prob_mc(v: Word, M: int, replicas: int, rng: RngSpec,
                   p_y: float = 0.5, workers: int = 1) -> Estimate:
     """Monte Carlo estimate of P(v M-embeds into an iid Bernoulli target)."""
-    if M < 1:
-        raise ValueError("gap bound M must be >= 1")
     if not 0.0 <= p_y <= 1.0:
         raise ValueError("p_y must lie in [0, 1]")
-    check_replica(M * len(v), M * len(v) ** 2, "target letters")
-    probs = np.full(M * len(v), p_y)
-    fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
-                  probs.size, n=len(v), M=M, vbits=v.bits)
-    samples = run_chunked(fn, replicas, workers)
-    return Estimate.from_samples(samples, rng)
+    return _embed_mc(M, len(v), v.bits, p_y, p_y, replicas, rng, workers)
 
 
 def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
@@ -444,17 +455,9 @@ def embed_survival_mc(M: int, n: int, p_x: float, p_y: float, replicas: int,
 
     X has iid Bernoulli(p_x) letters and Y iid Bernoulli(p_y) letters.
     """
-    if M < 1:
-        raise ValueError("gap bound M must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     for p in (p_x, p_y):
         if not 0.0 <= p <= 1.0:
             raise ValueError("letter densities must lie in [0, 1]")
-    check_replica(M * n, M * n * n, "target letters")
-    probs = np.concatenate([np.full(n, p_x), np.full(M * n, p_y)])
-    fn = PerBlock(_embeds_block, partial(rng.bernoulli_rows, probs=probs),
-                  probs.size, n=n, M=M, vbits=None)
-    samples = run_chunked(fn, replicas, workers)
-    return Estimate.from_samples(samples, rng)
-
+    return _embed_mc(M, n, None, p_x, p_y, replicas, rng, workers)

@@ -120,7 +120,7 @@ class FiniteDistribution(Record):
                 np.array([float(p) for p in self.points]))
 
 
-class ColumnEnvironment(Record):
+class ColumnEnvironment(Record, eq=False):
     """A sampled environment: per-column densities and the open field."""
 
     mu: FiniteDistribution

@@ -54,7 +54,7 @@ _OFFSETS = {
 }
 
 
-class Field2D(Record):
+class Field2D(Record, eq=False):
     """Binary array Y[i, j], 1 <= i <= W, 1 <= j <= H, at cells[i-1, j-1]."""
 
     cells: np.ndarray
@@ -116,7 +116,7 @@ def block_good_prob(p, R: int):
     return 1 - p**area - (1 - p) ** area
 
 
-class BlockGrid(Record):
+class BlockGrid(Record, eq=False):
     """Goodness of R x R blocks; block (I, J) is good[I-1, J-1]."""
 
     R: int

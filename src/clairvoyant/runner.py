@@ -52,7 +52,7 @@ ChunkFn = Callable[[int, int], "np.ndarray"]
 DrawFn = Callable[["np.ndarray"], "np.ndarray"]
 
 # The most letters PerBlock draws into one block: 512 KiB of float64
-# uniforms or int64 walk values.
+# uniforms or int64 walk letters.
 BLOCK_LETTERS = 1 << 16
 
 # The most letters (8 bytes each) one replica of a bit-parallel kernel may
@@ -61,13 +61,13 @@ MC_LETTERS = 1 << 24
 MC_BIT_STEPS = 1 << 32
 
 
-def check_replica(letters: int, bit_steps: int, what="letters") -> None:
+def check_replica(letters: int, bit_steps: int) -> None:
     """Refuse, before any draw, a replica past either bound."""
     if letters > MC_LETTERS or bit_steps > MC_BIT_STEPS:
-        raise BudgetError("a replica draws %d %s and sweeps %d bit-steps, "
-                          "over the bounds of %d letters and %d bit-steps"
-                          % (letters, what, bit_steps, MC_LETTERS,
-                             MC_BIT_STEPS))
+        raise BudgetError("a replica draws %d letters and sweeps %d "
+                          "bit-steps, over the bounds of %d letters and %d "
+                          "bit-steps" % (letters, bit_steps, MC_LETTERS,
+                                         MC_BIT_STEPS))
 
 
 class PerBlock:

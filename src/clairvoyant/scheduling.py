@@ -87,6 +87,25 @@ def _walk_rows(ids, rng: RngSpec, M: int, depth: int) -> np.ndarray:
     return rng.integer_rows(ids, M, 2 * (depth + 1)).reshape(-1, 2, depth + 1)
 
 
+def _walk_pairs(kernel, rng: RngSpec, M: int, depth: int, bit_steps: int,
+                /, **params) -> PerBlock:
+    """Chunk function of kernel on replica k's walks, the 2(depth + 1)
+    letters `_walk_rows` draws from its stream, once
+    `runner.check_replica` has passed those letters and bit_steps."""
+    letters = 2 * (depth + 1)
+    check_replica(letters, bit_steps)
+    return PerBlock(kernel, partial(_walk_rows, rng=rng, M=M, depth=depth),
+                    letters, **params)
+
+
+def _sweep_steps(depth: int, *alphabets: int) -> int:
+    """Bit-steps of sweeping a walk pair to depth once on each alphabet:
+    about depth + 1 levels shift masks of up to depth + 1 bits, once per
+    shared letter, and a pair shares at most min(alphabet, depth + 1)."""
+    n = depth + 1
+    return n * n * sum(min(m, n) for m in alphabets)
+
+
 def sample_grid(M: int, depth: int, rng: RngSpec) -> ScheduleGrid:
     """Grid of two uniform walks from stream rng, x first, each with
     depth+1 values: row 0 of `_walk_rows` for that stream."""
@@ -228,25 +247,6 @@ def _survival_block(walks: np.ndarray, depths: tuple[int, ...]) -> np.ndarray:
     return np.column_stack([alive.get(d, dead) for d in depths])
 
 
-def _check_sweeps(depth: int, *alphabets: int) -> None:
-    """Refuse, before any draw, a replica that draws two walks of depth + 1
-    values and sweeps them to depth once on each alphabet: each of about
-    depth + 1 levels shifts masks of up to depth + 1 bits, once per shared
-    letter, and a pair shares at most min(alphabet, depth + 1) letters."""
-    n = depth + 1
-    check_replica(2 * n, n * n * sum(min(m, n) for m in alphabets),
-                  "walk values")
-
-
-def _curve_chunk_fn(M: int, depths, rng: RngSpec) -> PerBlock:
-    """Row k: whether replica k survives to each of depths, on the walks
-    `_walk_rows` draws from its stream."""
-    depth = max(depths)
-    walks = partial(_walk_rows, rng=rng, M=M, depth=depth)
-    return PerBlock(_survival_block, walks, 2 * (depth + 1),
-                    depths=tuple(depths))
-
-
 def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
                       workers: int = 1) -> list[Estimate]:
     """P(directed survival to depth d) for each requested d, shared samples.
@@ -262,8 +262,10 @@ def survival_curve_mc(M: int, depths: list[int], replicas: int, rng: RngSpec,
         raise ValueError("give at least one depth")
     if any(d < 0 for d in depths):
         raise ValueError("depths must be non-negative")
-    _check_sweeps(max(depths), M)
-    alive = run_chunked(_curve_chunk_fn(M, depths, rng), replicas, workers)
+    depth = max(depths)
+    fn = _walk_pairs(_survival_block, rng, M, depth, _sweep_steps(depth, M),
+                     depths=tuple(depths))
+    alive = run_chunked(fn, replicas, workers)
     return [Estimate.from_samples(col, rng) for col in alive.T]
 
 
@@ -306,14 +308,6 @@ def _coupling_block(walks: np.ndarray, M: int, depth: int) -> np.ndarray:
                             _survival_block(walks, (depth,))))
 
 
-def _coupling_chunk_fn(M: int, k: int, depth: int, rng: RngSpec) -> PerBlock:
-    """Row j: `_coupling_block` of replica j's walks on {1..kM}, which
-    `_walk_rows` draws from its stream."""
-    walks = partial(_walk_rows, rng=rng, M=k * M, depth=depth)
-    return PerBlock(_coupling_block, walks, 2 * (depth + 1), M=M,
-                    depth=depth)
-
-
 def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
                    workers: int = 1) -> CouplingReport:
     """Sample paired walks on {1..kM} and their mod-M reductions.
@@ -330,8 +324,9 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
         raise ValueError("k must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _check_sweeps(depth, M, k * M)
-    res = run_chunked(_coupling_chunk_fn(M, k, depth, rng), samples, workers)
+    fn = _walk_pairs(_coupling_block, rng, k * M, depth,
+                     _sweep_steps(depth, M, k * M), M=M, depth=depth)
+    res = run_chunked(fn, samples, workers)
     superset_bad = int(res[:, 0].sum())
     ordering_bad = int((res[:, 1] & ~res[:, 2]).sum())
     if superset_bad or ordering_bad:
@@ -339,14 +334,8 @@ def coupling_check(M: int, k: int, depth: int, samples: int, rng: RngSpec,
             "coupling violated on %d/%d samples (superset %d, ordering %d)"
             % (superset_bad + ordering_bad, samples, superset_bad, ordering_bad)
         )
-    return CouplingReport(
-        M=M,
-        k=k,
-        depth=depth,
-        samples=samples,
-        reduced_survivals=int(res[:, 1].sum()),
-        big_survivals=int(res[:, 2].sum()),
-    )
+    return CouplingReport(M, k, depth, samples, int(res[:, 1].sum()),
+                          int(res[:, 2].sum()))
 
 
 def _escapes(x: np.ndarray, y: np.ndarray, box: int) -> bool:
@@ -382,13 +371,16 @@ def _escape_block(walks: np.ndarray, box: int) -> np.ndarray:
 
 def undirected_mc(M: int, box: int, replicas: int, rng: RngSpec,
                   workers: int = 1) -> Estimate:
-    """Escape frequency of the undirected open cluster from the origin."""
+    """Escape frequency of the undirected open cluster from the origin.
+
+    `runner.check_replica` prices a replica, before any draw, at the floor
+    of an escape: box flood layers over a (box + 1)(box + 2)-bit field."""
     if box < 0:
         raise ValueError("box must be >= 0")
     if M < 2:
         raise ValueError("alphabet size M must be >= 2")
-    walks = partial(_walk_rows, rng=rng, M=M, depth=box)
-    fn = PerBlock(_escape_block, walks, 2 * (box + 1), box=box)
+    fn = _walk_pairs(_escape_block, rng, M, box,
+                     box * (box + 1) * (box + 2), box=box)
     samples = run_chunked(fn, replicas, workers)
     return Estimate.from_samples(samples, rng)
 

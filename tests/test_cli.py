@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clairvoyant import cli
+from clairvoyant.rng import RngSpec
 from clairvoyant.runner import BLOCK_LETTERS
 
 
@@ -709,7 +710,7 @@ _SAYS = {
         "refused: the exact probability has a denominator of up to "
         "2^100000000000000000000000 ",
     "embed mc --M 100000 --n 1000 --replicas 1":
-        "refused: a replica draws 100000000 target letters and sweeps "
+        "refused: a replica draws 100001000 letters and sweeps "
         "100000000000 bit-steps, over the bounds of 16777216 letters and "
         "4294967296 bit-steps",
     "compat mc --p 0.2 --n 1000000 --replicas 20":
@@ -717,12 +718,16 @@ _SAYS = {
         "bit-steps, over the bounds of 16777216 letters and 4294967296 "
         "bit-steps",
     "schedule curve --M 1000 --depths 30000 --replicas 2":
-        "refused: a replica draws 60002 walk values and sweeps 900060001000 "
+        "refused: a replica draws 60002 letters and sweeps 900060001000 "
         "bit-steps, over the bounds of 16777216 letters and 4294967296 "
         "bit-steps",
     "schedule coupling --M 4 --k 2 --depth 1000000 --replicas 2":
-        "refused: a replica draws 2000002 walk values and sweeps "
+        "refused: a replica draws 2000002 letters and sweeps "
         "12000024000012 bit-steps, over the bounds",
+    "schedule undirected --M 2 --box 100000 --replicas 1":
+        "refused: a replica draws 200002 letters and sweeps "
+        "1000030000200000 bit-steps, over the bounds of 16777216 letters "
+        "and 4294967296 bit-steps",
 }
 
 
@@ -785,7 +790,7 @@ _SAYS = {
     # in n and in M: refused before the DP starts
     "embed moments --n 1449 --M 2",
     "embed moments --n 1 --M 2897",
-    # walk values are int64: 2^63 letters, or k M = 2^62 * 2, are refused
+    # walk letters are int64: 2^63 letters, or k M = 2^62 * 2, are refused
     # before any draw, where numpy said "high is out of bounds for int64"
     "schedule curve --M 9223372036854775808 --depths 5 --replicas 3",
     "schedule undirected --M 100000000000000000000 --box 3 --replicas 3",
@@ -810,6 +815,9 @@ _SAYS = {
     # past 15 s
     "schedule curve --M 1000 --depths 30000 --replicas 2",
     "schedule coupling --M 4 --k 2 --depth 1000000 --replicas 2",
+    # an escaping cluster floods box layers of a (box + 1)(box + 2)-bit
+    # field: refused before any draw, where it tried to allocate 9.31 GiB
+    "schedule undirected --M 2 --box 100000 --replicas 1",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     if argv in _FORCED:
@@ -835,6 +843,20 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("refused: ") or "error" in err
     assert "Traceback" not in err
     assert _SAYS.get(" ".join(argv), "") in err
+
+
+@pytest.mark.parametrize("argv", [
+    "embed mc --M 100000 --n 1000 --replicas 1",
+    "embed mc --target alternating --M 100000 --n 1000 --replicas 1",
+    "schedule undirected --M 2 --box 100000 --replicas 1",
+])
+def test_refused_replica_draws_nothing(monkeypatch, capsys, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn before the refusal")
+    for name in ("bernoulli_rows", "integer_rows"):
+        monkeypatch.setattr(RngSpec, name, no_draw)
+    assert cli.main(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("refused: a replica draws ")
 
 
 @pytest.mark.parametrize("off", ["zero", "missing"])

@@ -9,7 +9,8 @@ import pytest
 
 from clairvoyant._record import FrozenInstanceError, Record
 from clairvoyant.embedding import recursion_params
-from clairvoyant.environment import FiniteDistribution
+from clairvoyant.environment import FiniteDistribution, sample_environment
+from clairvoyant.lattice import block_grid, sample_field
 from clairvoyant.rng import RngSpec
 from clairvoyant.scheduling import CouplingReport, ScheduleGrid
 from clairvoyant.stats import Estimate
@@ -66,6 +67,19 @@ def test_schedule_grid_equality_is_identity():
     assert grid != ScheduleGrid(x, y, 3)
     assert grid != copy.copy(grid)
     assert hash(grid) == object.__hash__(grid)
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # by value, == on two fields of arrays raised ValueError ("truth value
+    # of an array ... is ambiguous") and hash raised TypeError
+    mu = FiniteDistribution.parse("0.4:1/2,0.8:1/2")
+    for make in (lambda: sample_field(0.5, 3, 3, RngSpec(1)),
+                 lambda: block_grid(sample_field(0.5, 4, 4, RngSpec(1)), 2),
+                 lambda: sample_environment(mu, 3, RngSpec(1))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b}) == 2
 
 
 def test_cached_property_leaves_equality_alone():

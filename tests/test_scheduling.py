@@ -310,8 +310,22 @@ def test_undirected_mc_deterministic():
     assert 0.0 <= a.mean <= 1.0
 
 
+def test_undirected_bound_lies_between_box_1624_and_1625(monkeypatch):
+    # box (box + 1)(box + 2) bit-steps: 4291014000 at box 1624, under 2^32,
+    # and 4298940750 at box 1625
+    monkeypatch.setattr(scheduling, "run_chunked",
+                        lambda fn, replicas, workers=1: np.zeros(replicas))
+    undirected_mc(2, 1624, 1, RngSpec(1))
+    with pytest.raises(BudgetError, match="sweeps 4298940750 bit-steps"):
+        undirected_mc(2, 1625, 1, RngSpec(1))
+
+
 def _curve_rows(M, depths, replicas, rng):
-    return run_chunked(scheduling._curve_chunk_fn(M, depths, rng), replicas)
+    fn = scheduling._walk_pairs(scheduling._survival_block, rng, M,
+                                max(depths),
+                                scheduling._sweep_steps(max(depths), M),
+                                depths=tuple(depths))
+    return run_chunked(fn, replicas)
 
 
 @pytest.mark.parametrize("M", range(2, 9))
