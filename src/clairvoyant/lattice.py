@@ -15,8 +15,10 @@ neighbour with one byte lookup in the mask of the letter the next step
 needs, a mask that also drops the cells on the path, so the letter test
 and the self-avoidance test cost one read.  The constant word
 is pruned first: it needs a letter-cluster of n cells next to the origin.
-`words.flood`, on a box `words.pack_box` packs into one int, finds that
-cluster.
+A walk over the adjacency table on a copy of that letter's mask, taken
+before the origin leaves it, finds the cluster and stops at n cells.  A
+scan builds the two letter masks once per field, and each search copies
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .rng import RngSpec
 from .runner import PerBlock, run_chunked
 from .stats import Estimate
 from .words import (SQUARE_STEPS, Word, alternating_word, constant_word,
-                    flood, gap_frontiers, pack_box, pack_mask)
+                    gap_frontiers, pack_mask)
 
 
 class LatticeKind(Enum):
@@ -260,54 +262,50 @@ def _adjacency(shape: tuple[int, int],
     return tuple(adj)
 
 
-def _constant_prune(cells: np.ndarray, kind: LatticeKind,
-                    origin: tuple[int, int], letter: int, n: int) -> bool:
-    """True if no letter-cluster next to the origin can hold an n-path.
+def _letter_masks(u8: np.ndarray) -> tuple[bytes, bytes]:
+    """masks[a][u] == 1: cell u, in C order, of a uint8 box reads letter a."""
+    return (u8 == 0).tobytes(), (u8 == 1).tobytes()
 
-    Each cluster found smaller than n leaves bits, so it is flooded once.
+
+def _plan(w: Word) -> tuple[tuple[int, ...], bool]:
+    """The letters of w, and whether they are all the same letter."""
+    letters = w.letters()
+    return letters, len(set(letters)) == 1
+
+
+def _cluster_prune(mask: bytearray, adj, start: int, n: int) -> bool:
+    """True if no cluster of mask next to cell start has n cells.
+
+    The walk clears each cell it reaches, so each cluster is walked once,
+    and it stops as soon as one cluster reaches n cells.  The start cell
+    is walked through when mask holds it.
     """
-    bits, stride = pack_box(cells == letter)
-    h, w = cells.shape
-    i, j = origin
-    for di, dj in kind.offsets:
-        a, b = i + di, j + dj
-        if 0 <= a < h and 0 <= b < w and bits >> (a * stride + b) & 1:
-            for seen in flood(bits, stride, kind.offsets,
-                              1 << (a * stride + b)):
-                if seen.bit_count() >= n:
+    for v in adj[start]:
+        if mask[v]:
+            mask[v] = 0
+            cluster = [v]
+            for u in cluster:  # the list grows as the walk reaches cells
+                if len(cluster) >= n:
                     return False
-            bits ^= seen
+                for x in adj[u]:
+                    if mask[x]:
+                        mask[x] = 0
+                        cluster.append(x)
     return True
 
 
-def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
-                 w: Word, budget: int | None = None) -> Visibility:
-    """Is w readable along some self-avoiding walk from the origin?
-
-    The origin's own letter is unconstrained; step k must land on letter
-    w_k.  DFS expands nodes in a fixed order; with a budget the search may
-    stop early with the explicit EXHAUSTED outcome.
-    """
-    h, wd = cells.shape
-    if not (0 <= origin[0] < h and 0 <= origin[1] < wd):
-        raise ValueError("origin outside the box")
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be >= 0")
-    n = len(w)
-    if n == 0:
-        return Visibility.FOUND
-    letters = w.letters()
-    if len(set(letters)) == 1 and _constant_prune(cells, kind, origin,
-                                                  letters[0], n):
+def _search(masks: tuple[bytes, bytes], adj, start: int, cap: int,
+            letters: tuple[int, ...], constant: bool) -> Visibility:
+    """The budgeted DFS of `visible_word` from cell start, for at least
+    one letter; it works on its own copies of the letter masks."""
+    n = len(letters)
+    if constant and _cluster_prune(bytearray(masks[letters[0]]), adj,
+                                   start, n):
         return Visibility.ABSENT
-    cap = sys.maxsize if budget is None else budget
     if cap < 1:  # the origin is the first expansion
         return Visibility.EXHAUSTED
-    adj = _adjacency(cells.shape, kind)
-    start = origin[0] * wd + origin[1]
     # free[a][u] == 1: cell u reads letter a and is off the path
-    u8 = cells.astype(np.uint8, copy=False)
-    free = [bytearray((u8 == a).tobytes()) for a in (0, 1)]
+    free = [bytearray(m) for m in masks]
     free[0][start] = free[1][start] = 0
     steps = [free[a] for a in letters]  # step k lands on a cell of steps[k]
     path = [start] * n  # path[k]: the cell reached after k steps
@@ -341,6 +339,26 @@ def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
             it = untried[k]
 
 
+def visible_word(cells: np.ndarray, kind: LatticeKind, origin: tuple[int, int],
+                 w: Word, budget: int | None = None) -> Visibility:
+    """Is w readable along some self-avoiding walk from the origin?
+
+    The origin's own letter is unconstrained; step k must land on letter
+    w_k.  DFS expands nodes in a fixed order; with a budget the search may
+    stop early with the explicit EXHAUSTED outcome.
+    """
+    h, wd = cells.shape
+    if not (0 <= origin[0] < h and 0 <= origin[1] < wd):
+        raise ValueError("origin outside the box")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
+    if len(w) == 0:
+        return Visibility.FOUND
+    return _search(_letter_masks(cells.astype(np.uint8, copy=False)),
+                   _adjacency(cells.shape, kind), origin[0] * wd + origin[1],
+                   sys.maxsize if budget is None else budget, *_plan(w))
+
+
 class AbScanReport(Record):
     """Visibility frequencies of the two extremal words at one density."""
 
@@ -357,13 +375,17 @@ _AB_CODE = {Visibility.ABSENT: 0, Visibility.FOUND: 1, Visibility.EXHAUSTED: 2}
 
 
 def _ab_block(fields: np.ndarray, box: int, budget: int,
-              words: tuple[Word, ...]) -> np.ndarray:
-    """Block kernel: row b holds the `_AB_CODE` of each word on field b."""
-    # uint8 cells, so that visible_word reads them without a copy
-    return np.array([
-        [_AB_CODE[visible_word(cells, LatticeKind.TRIANGULAR, (box, box), w,
-                               budget)] for w in words]
-        for cells in fields.view(np.uint8)])
+              plans: tuple[tuple[tuple[int, ...], bool], ...]) -> np.ndarray:
+    """Block kernel: row b holds the `_AB_CODE` of each planned word on
+    field b, searched from the centre."""
+    adj = _adjacency(fields.shape[1:], LatticeKind.TRIANGULAR)
+    start = box * fields.shape[2] + box
+    rows = []
+    for cells in fields.view(np.uint8):
+        masks = _letter_masks(cells)  # once per field, copied per search
+        rows.append([_AB_CODE[_search(masks, adj, start, budget, *plan)]
+                     for plan in plans])
+    return np.array(rows)
 
 
 def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
@@ -385,7 +407,8 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
     probs = np.full((side, side), p)
     fn = PerBlock(_ab_block, partial(rng.bernoulli_rows, probs=probs),
                   probs.size, box=box, budget=budget,
-                  words=(alternating_word(box), constant_word(box)))
+                  plans=(_plan(alternating_word(box)),
+                         _plan(constant_word(box))))
     codes = run_chunked(fn, replicas, workers)
     return AbScanReport(
         p=p,

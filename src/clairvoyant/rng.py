@@ -19,16 +19,19 @@ a kernel can redraw a few of its streams longer.  Short rows come from one
 numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
 bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
 `_rewound`, which rewinds one generator to each stream of the array in
-turn.  :meth:`RngSpec.bernoulli_rows` compares uniform rows with
-densities.  :meth:`RngSpec.integer_rows` draws what each stream's
-``integers(1, M + 1)`` gives: it maps the rows' raw words in one pass, as
-numpy does by Lemire's multiply-and-shift ``((u M) >> 32) + 1``, and
-hands back to numpy only the rows where it would reject a value and draw
-again.  A one-off draw is row 0 of a row method for ``[stream_id]``, so
-this module alone turns streams into values; :meth:`RngSpec.generator`,
-numpy's own ``Generator(Philox(key))``, is the reference they all equal,
-and nothing in the package calls it.  Seeds, like stream ids, must lie in
-[0, 2^64): none is reduced, so two recorded seeds never share streams.
+turn.  :meth:`RngSpec.bernoulli_rows` compares uniforms with densities,
+at most ``runner.BLOCK_LETTERS`` uniforms at a time, so a row costs one
+byte a letter however long it is.  :meth:`RngSpec.integer_rows` draws
+what each stream's ``integers(1, M + 1)`` gives: it maps the rows' raw
+words in one pass, as numpy does by Lemire's multiply-and-shift ``((u M)
+>> 32) + 1``, and hands back to numpy only the rows where it would reject
+a value and draw again, or every row when a row would more often be
+drawn again than not.  A one-off draw is row 0 of a row method for
+``[stream_id]``, so this module alone turns streams into values;
+:meth:`RngSpec.generator`, numpy's own ``Generator(Philox(key))``, is the
+reference they all equal, and nothing in the package calls it.  Seeds,
+like stream ids, must lie in [0, 2^64): none is reduced, so two recorded
+seeds never share streams.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Iterator
 
 from ._lazy import np
 from ._record import Record
+from .runner import BLOCK_LETTERS
 
 _MASK64 = (1 << 64) - 1
 # seeds and stream ids are the two 64-bit words of a Philox key
@@ -193,15 +197,21 @@ class RngSpec(Record):
         """
         ids = _id_array(ids)
         u = np.empty((len(ids), letters))
+        self._fill_uniforms(ids, u)
+        return u
+
+    def _fill_uniforms(self, ids: np.ndarray, u: np.ndarray) -> None:
+        """Fill row i of the float64 matrix u with the uniforms of stream
+        ids[i], for a checked id array."""
+        letters = u.shape[1]
         if letters > BATCHED_LETTERS:
             for row, gen in zip(u, _rewound(self.master_seed, ids)):
                 gen.random(out=row)
-            return u
+            return
         for a, words in _batched_words(self.master_seed, ids, letters):
             words >>= np.uint64(11)
             np.multiply(words[:, :letters], 2.0 ** -53,
                         out=u[a:a + len(words)])
-        return u
 
     def integer_rows(self, ids, M: int, count: int) -> np.ndarray:
         """Integers on {1..M}, one int64 row of count per stream id.
@@ -216,7 +226,8 @@ class RngSpec(Record):
         at most ``BATCHED_LETTERS`` of them and from the rewound Philox
         otherwise, every value is mapped in one pass, and only a row where
         some value would be drawn again is redrawn by numpy's own
-        ``integers``, as is every row for M past 2^32.
+        ``integers``.  Every row goes to numpy straight away for M past
+        2^32, and where a row would be drawn again more often than not.
         """
         ids = _id_array(ids)
         M = operator.index(M)
@@ -224,7 +235,9 @@ class RngSpec(Record):
             raise ValueError("M must lie in [1, 2^63)")
         rows = np.empty((len(ids), count), np.int64)
         redraw = np.ones(len(ids), bool)
-        if M <= 1 << 32:
+        # a row maps with no redraw with chance (1 - r)^count, r the
+        # chance numpy rejects one value; below 1/2, map no row at all
+        if M <= 1 << 32 and (1 - (2**32 - M) % M / 2**32) ** count >= 0.5:
             words = -(-count // 2)
             if words > BATCHED_LETTERS:
                 raw = np.empty((len(ids), words), np.uint64)
@@ -248,10 +261,31 @@ class RngSpec(Record):
         Row i equals ``self.stream(k_i).generator().random(probs.shape) <
         probs`` for the i-th id k_i, in a matrix of shape ``(len(ids),) +
         probs.shape``.  A NaN density gives false, as ``u < NaN`` does.
+        The uniforms pass through a float64 scratch of at most
+        ``BLOCK_LETTERS`` letters: whole rows when one fits, else
+        consecutive slices of one row, since ``random(out=...)`` continues
+        the stream.  So the draw holds one byte a letter plus the scratch.
         """
         probs = np.asarray(probs, dtype=float)
-        u = self.uniform_rows(ids, probs.size)
-        return u.reshape((len(u),) + probs.shape) < probs
+        ids = _id_array(ids)
+        p = probs.reshape(-1)
+        letters = len(p)
+        out = np.empty((len(ids), letters), bool)
+        if letters > BLOCK_LETTERS:
+            u = np.empty(BLOCK_LETTERS)
+            for row, gen in zip(out, _rewound(self.master_seed, ids)):
+                for a in range(0, letters, BLOCK_LETTERS):
+                    b = min(a + BLOCK_LETTERS, letters)
+                    gen.random(out=u[:b - a])
+                    np.less(u[:b - a], p[a:b], out=row[a:b])
+        else:
+            step = BLOCK_LETTERS // max(1, letters)
+            u = np.empty((min(step, len(ids)), letters))
+            for a in range(0, len(ids), step):
+                part = u[:len(ids) - a]
+                self._fill_uniforms(ids[a:a + step], part)
+                np.less(part, p, out=out[a:a + len(part)])
+        return out.reshape((len(ids),) + probs.shape)
 
 
 def _rewound(seed: int, ids: np.ndarray) -> Iterator[np.random.Generator]:

@@ -5,7 +5,9 @@ enumeration, no bit tricks.  The exceptions are ``enum_embed_counts``,
 which runs the frontier sweep on every target at once with numpy so full
 scans stay affordable, and ``antidiagonal_survival_depth``, the numpy
 antidiagonal sweep, in linear memory, that checks the package's bitset
-sweep on grids far deeper than ``brute_path_survives`` can try.  The
+sweep on grids far deeper than ``brute_path_survives`` can try, and
+``flood_prune``, the constant-word prune of the visibility search as the
+package once ran it, by big-int floods of the packed box.  The
 package must agree with these on every instance small enough to
 enumerate.
 """
@@ -15,6 +17,8 @@ from itertools import accumulate, product
 from types import SimpleNamespace
 
 import numpy as np
+
+from clairvoyant.words import flood, pack_box
 
 _ENUM_CHUNK_BITS = 22
 
@@ -252,6 +256,25 @@ def brute_visible_words(cells, offsets, origin, max_len):
 
     rec(origin, ())
     return words
+
+
+def flood_prune(cells, kind, origin, letter, n):
+    """True if no letter-cluster next to the origin can hold an n-path.
+
+    Each cluster found smaller than n leaves bits, so it is flooded once.
+    """
+    bits, stride = pack_box(cells == letter)
+    h, w = cells.shape
+    i, j = origin
+    for di, dj in kind.offsets:
+        a, b = i + di, j + dj
+        if 0 <= a < h and 0 <= b < w and bits >> (a * stride + b) & 1:
+            for seen in flood(bits, stride, kind.offsets,
+                              1 << (a * stride + b)):
+                if seen.bit_count() >= n:
+                    return False
+            bits ^= seen
+    return True
 
 
 def budgeted_visible_word(cells, offsets, origin, letters, budget=None):

@@ -34,6 +34,7 @@ from oracles import (
     brute_cluster,
     brute_visible_words,
     budgeted_visible_word,
+    flood_prune,
     good_block_replica,
 )
 
@@ -263,6 +264,53 @@ def test_constant_word_prune_is_the_cluster_size():
             got = visible_word(cells, kind, origin,
                                constant_word(n, letter=letter), budget=0)
             assert got is expect, (trial, kind, origin, letter, n)
+
+
+def test_cluster_prune_equals_flood_prune():
+    # the walk on a letter's byte mask, the origin's cell included when it
+    # holds the letter, answers as the big-int flood of the packed box
+    rng = RngSpec(280).generator()
+    held, answers = set(), set()
+    for trial in range(150):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        cells = (rng.random((h, w)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        origin = (int(rng.integers(0, h)), int(rng.integers(0, w)))
+        masks = lattice._letter_masks(cells)
+        start = origin[0] * w + origin[1]
+        for kind in LatticeKind:
+            adj = lattice._adjacency((h, w), kind)
+            for letter in (0, 1):
+                held.add(int(cells[origin]) == letter)
+                for n in range(1, h * w + 2):
+                    got = lattice._cluster_prune(bytearray(masks[letter]),
+                                                 adj, start, n)
+                    assert got == flood_prune(cells, kind, origin, letter,
+                                              n), (trial, kind, letter, n)
+                    answers.add(got)
+    assert held == answers == {False, True}
+
+
+def test_ab_block_equals_separate_searches_in_either_order():
+    # each search copies the field's letter masks, so neither word's path
+    # marks reach the other word's search, whichever runs first
+    box = 5
+    side = 2 * box + 1
+    fields = RngSpec(290).bernoulli_rows(range(40),
+                                         np.full((side, side), 0.5))
+    words = (alternating_word(box), constant_word(box),
+             constant_word(box, letter=0), Word.from_string("01101"))
+    codes = set()
+    for budget in (0, 3, 30, 10**6):
+        want = [[lattice._AB_CODE[visible_word(
+            cells.astype(np.uint8), LatticeKind.TRIANGULAR, (box, box), w,
+            budget)] for w in words] for cells in fields]
+        for order in (words, words[::-1]):
+            got = lattice._ab_block(fields, box, budget,
+                                    tuple(lattice._plan(w) for w in order))
+            assert got.tolist() == [row if order is words else row[::-1]
+                                    for row in want], budget
+        codes.update(c for row in want for c in row)
+    assert codes == {0, 1, 2}
 
 
 def test_visible_word_budget():

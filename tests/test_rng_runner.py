@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -276,6 +277,28 @@ def test_integer_rows_redraw_exactly_the_rows_numpy_rejects(M, count):
     assert (mapped[~flagged] == want[~flagged]).all()
 
 
+def test_integer_rows_send_mostly_redrawn_rows_to_numpy(monkeypatch):
+    # a row maps with no redraw with chance (1 - r)^count, r the chance
+    # numpy rejects one value: 1/4 at M = 3 * 2^30, just under 1/2 at
+    # 2^31 + 1.  Below 1/2 every row goes to numpy unmapped
+    mapped = []
+    bounded = rng._bounded
+
+    def spy(raw, M, out):
+        mapped.append((M, len(raw)))
+        return bounded(raw, M, out)
+    monkeypatch.setattr(rng, "_bounded", spy)
+    ids = [0, 7, 2**64 - 1]
+    for M, kept, sent in ((_REJECTING, (1, 2), (3, 42, 301)),
+                          (2**31 + 1, (1,), (2, 3, 42))):
+        for count in kept + sent:
+            mapped.clear()
+            rows = RngSpec(2).integer_rows(ids, M, count)
+            assert mapped == ([(M, len(ids))] if count in kept else [])
+            for row, k in zip(rows, ids):
+                assert np.array_equal(row, _integers(2, k, M, count))
+
+
 def test_integer_rows_refuse_M_numpy_cannot_draw():
     for M in (0, -3, 2**63, 2**70):
         with pytest.raises(ValueError, match=r"M must lie in \[1, 2\^63\)"):
@@ -423,6 +446,31 @@ def test_bernoulli_rows_of_many_short_streams_equal_fresh_philox():
     rows = RngSpec(7).bernoulli_rows(range(10**5), probs)
     want = np.array([_fresh(7, k).random(9) for k in range(10**5)]) < probs
     assert np.array_equal(rows, want)
+
+
+def test_bernoulli_rows_of_long_rows_hold_a_byte_a_letter():
+    # rows past BLOCK_LETTERS are drawn in consecutive slices of one
+    # float64 scratch, the last slice partial, and compared into the bool
+    # rows; the draw's peak is then the rows' byte a letter plus that
+    # 512 KiB scratch, where a float64 row alone would be 8 bytes a letter
+    letters = 200_000
+    assert letters % BLOCK_LETTERS
+    probs = np.linspace(0, 1, letters)
+    ids = [11, 2**64 - 1]
+    rows = RngSpec(3).bernoulli_rows(ids, probs)
+    for row, k in zip(rows, ids):
+        assert np.array_equal(row, _fresh(3, k).random(letters) < probs)
+    letters = 1_000_000
+    probs = np.full(letters, 0.3)
+    want = _fresh(3, 11).random(letters) < probs
+    tracemalloc.start()
+    try:
+        row, = RngSpec(3).bernoulli_rows([11], probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(row, want)
+    assert peak < 2 * letters
 
 
 def _int32_then_buffer_crossing(g):
