@@ -286,15 +286,16 @@ def _do_lattice_blocks(args):
 def _do_lattice_embed2d(args):
     rng = RngSpec(args.seed)
     p = _density(args.p)
-    width = (args.depth + 1) * args.R
-    height = (2 * args.depth + 1) * args.R
-    field = lat.sample_field(p, width, height, rng.stream(0))
+    # the word first: a missing or bad one is refused before the field
     if args.word is not None:
         w = Word.from_string(args.word)
     elif args.word_length is not None:
         w = bernoulli_word(args.word_length, 0.5, rng.stream(1))
     else:
         raise ValueError("give --word or --word-length")
+    width = (args.depth + 1) * args.R
+    height = (2 * args.depth + 1) * args.R
+    field = lat.sample_field(p, width, height, rng.stream(0))
     path = lat.block_percolation(field, args.R, args.depth)
     if path is None:
         return [{"found": False, "block_path": (), "rows": (), "cols": (),

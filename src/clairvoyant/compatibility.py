@@ -276,6 +276,7 @@ def psi_curve_mc(p: float, ns: list[int], replicas: int, rng: RngSpec,
     sample by sample.  A replica past `runner.check_replica`'s bounds
     raises BudgetError before any draw.
     """
+    rng.check_master()
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not ns:

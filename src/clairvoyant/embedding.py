@@ -430,6 +430,7 @@ def _embed_mc(M: int, n: int, vbits: int | None, p_x: float, p_y: float,
     own n Bernoulli(p_x) letters, drawn before its target.  Refused before
     any draw past `runner.check_replica`'s bounds, for the letters a
     replica draws and its n frontiers of M*n bits."""
+    rng.check_master()
     if M < 1:
         raise ValueError("gap bound M must be >= 1")
     letters = (M + (vbits is None)) * n

@@ -167,6 +167,7 @@ def _column_block(u: np.ndarray, mu: FiniteDistribution,
 def column_percolation_mc(mu: FiniteDistribution, n: int, replicas: int,
                           rng: RngSpec, workers: int = 1) -> Estimate:
     """P(horizontal crossing of the n x n box under environment mu)."""
+    rng.check_master()
     if n < 1:
         raise ValueError("box size must be >= 1")
     letters = n + n * n

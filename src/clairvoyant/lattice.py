@@ -397,6 +397,7 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
     estimate is a lower bound on its word's visibility whenever its
     exhausted tally is above 0.
     """
+    rng.check_master()
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if box < 1:
@@ -424,6 +425,7 @@ def ab_scan(p: float, box: int, replicas: int, rng: RngSpec,
 def block_good_mc(p: float, R: int, replicas: int, rng: RngSpec,
                   workers: int = 1) -> Estimate:
     """Empirical frequency of good blocks among freshly sampled R x R blocks."""
+    rng.check_master()
     if R < 1:
         raise ValueError("R must be >= 1")
     if not 0.0 <= p <= 1.0:

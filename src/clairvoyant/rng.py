@@ -4,7 +4,8 @@ Every Monte Carlo entry point in the package takes an :class:`RngSpec`
 instead of a bare seed, and draws each replica from streams of its own:
 the pair ``(master_seed, stream_id)`` keys a Philox generator, so what a
 replica draws is independent of every other replica's and of how the
-replicas are distributed over worker processes.
+replicas are distributed over worker processes.  Replica k's ids derive
+from k under ``master_seed`` alone: see :meth:`RngSpec.check_master`.
 
 Philox is counter-based: its whole state is the key, a counter and a small
 output buffer.  Setting the key and zeroing the rest therefore gives the
@@ -19,15 +20,17 @@ a kernel can redraw a few of its streams longer.  Short rows come from one
 numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
 bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
 `_rewound`, which rewinds one generator to each stream of the array in
-turn.  :meth:`RngSpec.bernoulli_rows` compares uniforms with densities,
-at most ``runner.BLOCK_LETTERS`` uniforms at a time, so a row costs one
-byte a letter however long it is.  :meth:`RngSpec.integer_rows` draws
-what each stream's ``integers(1, M + 1)`` gives: it maps the rows' raw
-words in one pass, as numpy does by Lemire's multiply-and-shift ``((u M)
->> 32) + 1``, and hands back to numpy only the rows where it would reject
-a value and draw again, or every row when a row would more often be
-drawn again than not.  A one-off draw is row 0 of a row method for
-``[stream_id]``, so this module alone turns streams into values;
+turn.  :meth:`RngSpec.bernoulli_rows` compares uniforms with densities;
+a row past ``runner.BLOCK_LETTERS`` letters is drawn that many uniforms
+at a time, so it costs one byte a letter however long it is.
+:meth:`RngSpec.integer_rows` draws what each stream's ``integers(1, M +
+1)`` gives: it maps the rows' raw words in one pass, as numpy does by
+Lemire's multiply-and-shift ``((u M) >> 32) + 1``, and hands back to
+numpy only the rows where it would reject a value and draw again, and
+every row for M past 2^32.  The row methods draw every id they are
+handed at once; `runner.PerBlock` is what cuts replicas into blocks.  A
+one-off draw is row 0 of a row method for ``[stream_id]``, so this
+module alone turns streams into values;
 :meth:`RngSpec.generator`, numpy's own ``Generator(Philox(key))``, is the
 reference they all equal, and nothing in the package calls it.  Seeds,
 like stream ids, must lie in [0, 2^64): none is reduced, so two recorded
@@ -64,9 +67,10 @@ _ROUNDS = 10
 # 60 letters, where the two differ by under 0.1 us a stream.
 BATCHED_LETTERS = 56
 
-# The most (stream, 4-word block) lanes one batched pass holds: 2^16
-# letters when rows fill whole blocks, in eight uint64 arrays of 128 KiB.
-_LANES = 1 << 14
+# The most (stream, 4-word block) lanes one batched pass holds: a block of
+# BLOCK_LETTERS letters when rows fill whole blocks, in eight uint64
+# arrays of 128 KiB.
+_LANES = BLOCK_LETTERS // 4
 
 
 def _mulhilo(a: np.ndarray, m: int, lo: np.ndarray, hi: np.ndarray,
@@ -133,8 +137,16 @@ def _philox_words(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _batched_words(seed: int, ids: np.ndarray, words: int):
-    """(a, raw) per pass of `_philox_words`, at most ``_LANES`` lanes a
-    pass: raw holds at least words raw words of ids[a], ids[a + 1], ..."""
+    """(a, raw) pairs, raw holding at least words raw words of the streams
+    ids[a], ids[a + 1], ... of the checked uint64 array ids, a row each.
+    At most ``BATCHED_LETTERS`` words a row come from `_philox_words`, at
+    most ``_LANES`` lanes a pass; more come from `_rewound`, in one pass."""
+    if words > BATCHED_LETTERS:
+        raw = np.empty((len(ids), words), np.uint64)
+        for row, gen in zip(raw, _rewound(seed, ids)):
+            row[:] = gen.bit_generator.random_raw(words)
+        yield 0, raw
+        return
     blocks = -(-words // 4)
     step = _LANES // max(1, blocks)
     for a in range(0, len(ids), step):
@@ -179,6 +191,15 @@ class RngSpec(Record):
         """The k-th derived stream under the same master seed."""
         return RngSpec(self.master_seed, k)
 
+    def check_master(self) -> None:
+        """Refuse a stream id, as every Monte Carlo entry point does before
+        its first replica: replica k draws from streams of master_seed
+        alone, so the id would be recorded in the estimate and not used."""
+        if self.stream_id:
+            raise ValueError("Monte Carlo replicas draw from streams of the "
+                             "master seed alone: stream id %d refused"
+                             % self.stream_id)
+
     def generator(self) -> np.random.Generator:
         """``Generator(Philox(key=[seed, stream]))``, built fresh: numpy's
         own stream, the reference for the row methods."""
@@ -191,27 +212,20 @@ class RngSpec(Record):
 
         Row i equals ``self.stream(k_i).generator().random(letters)`` for
         the i-th id k_i.  Rows of at most ``BATCHED_LETTERS`` letters come
-        from `_philox_words`, at most ``_LANES`` lanes a pass, as numpy
-        makes a uniform of a raw word x: ``(x >> 11) 2^-53``.  Longer rows
-        come from numpy's ``random`` on `_rewound`.
+        from `_batched_words`, as numpy makes a uniform of a raw word x:
+        ``(x >> 11) 2^-53``.  Longer rows come from numpy's ``random`` on
+        `_rewound`.
         """
         ids = _id_array(ids)
         u = np.empty((len(ids), letters))
-        self._fill_uniforms(ids, u)
-        return u
-
-    def _fill_uniforms(self, ids: np.ndarray, u: np.ndarray) -> None:
-        """Fill row i of the float64 matrix u with the uniforms of stream
-        ids[i], for a checked id array."""
-        letters = u.shape[1]
         if letters > BATCHED_LETTERS:
             for row, gen in zip(u, _rewound(self.master_seed, ids)):
                 gen.random(out=row)
-            return
-        for a, words in _batched_words(self.master_seed, ids, letters):
-            words >>= np.uint64(11)
-            np.multiply(words[:, :letters], 2.0 ** -53,
-                        out=u[a:a + len(words)])
+            return u
+        for a, raw in _batched_words(self.master_seed, ids, letters):
+            raw >>= np.uint64(11)
+            np.multiply(raw[:, :letters], 2.0 ** -53, out=u[a:a + len(raw)])
+        return u
 
     def integer_rows(self, ids, M: int, count: int) -> np.ndarray:
         """Integers on {1..M}, one int64 row of count per stream id.
@@ -222,12 +236,10 @@ class RngSpec(Record):
         raw word first, to ``((u M) >> 32) + 1`` (Lemire, "Fast random
         integer generation in an interval", TOMACS 2019), and draws u
         again when ``(u M) mod 2^32 < (2^32 - M) mod M``.  Here each row's
-        ceil(count / 2) raw words come from `_philox_words` when there are
-        at most ``BATCHED_LETTERS`` of them and from the rewound Philox
-        otherwise, every value is mapped in one pass, and only a row where
-        some value would be drawn again is redrawn by numpy's own
-        ``integers``.  Every row goes to numpy straight away for M past
-        2^32, and where a row would be drawn again more often than not.
+        ceil(count / 2) raw words come from `_batched_words`, every value
+        is mapped in one pass, and only a row where some value would be
+        drawn again is redrawn by numpy's own ``integers``, as is every
+        row for M past 2^32.
         """
         ids = _id_array(ids)
         M = operator.index(M)
@@ -235,24 +247,14 @@ class RngSpec(Record):
             raise ValueError("M must lie in [1, 2^63)")
         rows = np.empty((len(ids), count), np.int64)
         redraw = np.ones(len(ids), bool)
-        # a row maps with no redraw with chance (1 - r)^count, r the
-        # chance numpy rejects one value; below 1/2, map no row at all
-        if M <= 1 << 32 and (1 - (2**32 - M) % M / 2**32) ** count >= 0.5:
-            words = -(-count // 2)
-            if words > BATCHED_LETTERS:
-                raw = np.empty((len(ids), words), np.uint64)
-                for row, gen in zip(raw, _rewound(self.master_seed, ids)):
-                    row[:] = gen.bit_generator.random_raw(words)
-                chunks = [(0, raw)]
-            else:
-                chunks = _batched_words(self.master_seed, ids, words)
-            for a, raw in chunks:
+        if M <= 1 << 32:
+            for a, raw in _batched_words(self.master_seed, ids,
+                                         -(-count // 2)):
                 b = a + len(raw)
                 redraw[a:b] = _bounded(raw, M, rows[a:b])
-        if redraw.any():
-            for i, gen in zip(np.flatnonzero(redraw),
-                              _rewound(self.master_seed, ids[redraw])):
-                rows[i] = gen.integers(1, M + 1, size=count)
+        for i, gen in zip(np.flatnonzero(redraw),
+                          _rewound(self.master_seed, ids[redraw])):
+            rows[i] = gen.integers(1, M + 1, size=count)
         return rows
 
     def bernoulli_rows(self, ids, probs) -> np.ndarray:
@@ -261,30 +263,25 @@ class RngSpec(Record):
         Row i equals ``self.stream(k_i).generator().random(probs.shape) <
         probs`` for the i-th id k_i, in a matrix of shape ``(len(ids),) +
         probs.shape``.  A NaN density gives false, as ``u < NaN`` does.
-        The uniforms pass through a float64 scratch of at most
-        ``BLOCK_LETTERS`` letters: whole rows when one fits, else
-        consecutive slices of one row, since ``random(out=...)`` continues
-        the stream.  So the draw holds one byte a letter plus the scratch.
+        Rows of at most ``BLOCK_LETTERS`` letters compare `uniform_rows`;
+        a longer row is drawn in consecutive slices of ``BLOCK_LETTERS``
+        uniforms, since ``random(out=...)`` continues the stream, so it
+        holds one byte a letter plus one slice.
         """
         probs = np.asarray(probs, dtype=float)
         ids = _id_array(ids)
         p = probs.reshape(-1)
         letters = len(p)
-        out = np.empty((len(ids), letters), bool)
-        if letters > BLOCK_LETTERS:
+        if letters <= BLOCK_LETTERS:
+            out = self.uniform_rows(ids, letters) < p
+        else:
+            out = np.empty((len(ids), letters), bool)
             u = np.empty(BLOCK_LETTERS)
             for row, gen in zip(out, _rewound(self.master_seed, ids)):
                 for a in range(0, letters, BLOCK_LETTERS):
                     b = min(a + BLOCK_LETTERS, letters)
                     gen.random(out=u[:b - a])
                     np.less(u[:b - a], p[a:b], out=row[a:b])
-        else:
-            step = BLOCK_LETTERS // max(1, letters)
-            u = np.empty((min(step, len(ids)), letters))
-            for a in range(0, len(ids), step):
-                part = u[:len(ids) - a]
-                self._fill_uniforms(ids[a:a + step], part)
-                np.less(part, p, out=out[a:a + len(part)])
         return out.reshape((len(ids),) + probs.shape)
 
 

@@ -122,9 +122,9 @@ def workers_used(replicas: int, workers: int) -> int:
 
 def run_chunked(fn: ChunkFn, replicas: int, workers: int = 1) -> np.ndarray:
     """Evaluate fn over [0, replicas), possibly in parallel, in index order."""
-    bounds = chunk_bounds(replicas, workers_used(replicas, workers))
-    if len(bounds) == 1:
-        return np.asarray(fn(*bounds[0]))
+    bounds = chunk_bounds(replicas, workers)
+    if len(bounds) == 1 or not hasattr(os, "fork"):
+        return np.asarray(fn(0, replicas))
     # numpy loads on first use (see _lazy): load it and numpy.random here,
     # once, so that the children inherit them instead of each importing them
     import numpy.random  # noqa: F401

@@ -92,6 +92,7 @@ def _walk_pairs(kernel, rng: RngSpec, M: int, depth: int, bit_steps: int,
     """Chunk function of kernel on replica k's walks, the 2(depth + 1)
     letters `_walk_rows` draws from its stream, once
     `runner.check_replica` has passed those letters and bit_steps."""
+    rng.check_master()
     letters = 2 * (depth + 1)
     check_replica(letters, bit_steps)
     return PerBlock(kernel, partial(_walk_rows, rng=rng, M=M, depth=depth),

@@ -741,6 +741,8 @@ _SAYS = {
     "lattice abscan --p -1 --box 3 --replicas 5",
     "schedule coupling --M 2 --k 2 --depth -1 --replicas 5",
     "lattice embed2d --R 2 --depth 3",
+    # refused before its 6003 x 12003 field is drawn, where it took 2 s
+    "lattice embed2d --R 3 --depth 2000",
     "compat mc --p 1/0 --n 5 --replicas 5",
     "lattice blocks --p 1/0 --R 2 --replicas 5",
     "lattice abscan --p 1/0 --box 3 --replicas 5",
@@ -857,6 +859,20 @@ def test_refused_replica_draws_nothing(monkeypatch, capsys, argv):
         monkeypatch.setattr(RngSpec, name, no_draw)
     assert cli.main(argv.split()) == 2
     assert capsys.readouterr().err.startswith("refused: a replica draws ")
+
+
+@pytest.mark.parametrize("argv, says", [
+    ("lattice embed2d --R 3 --depth 2000", "give --word or --word-length"),
+    ("lattice embed2d --R 3 --depth 2000 --word-length -1",
+     "n must be >= 0"),
+])
+def test_embed2d_refuses_its_word_before_drawing_the_field(
+        monkeypatch, capsys, argv, says):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn before the refusal")
+    monkeypatch.setattr(RngSpec, "bernoulli_rows", no_draw)
+    assert cli.main(argv.split()) == 2
+    assert says in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("off", ["zero", "missing"])

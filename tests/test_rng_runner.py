@@ -277,28 +277,6 @@ def test_integer_rows_redraw_exactly_the_rows_numpy_rejects(M, count):
     assert (mapped[~flagged] == want[~flagged]).all()
 
 
-def test_integer_rows_send_mostly_redrawn_rows_to_numpy(monkeypatch):
-    # a row maps with no redraw with chance (1 - r)^count, r the chance
-    # numpy rejects one value: 1/4 at M = 3 * 2^30, just under 1/2 at
-    # 2^31 + 1.  Below 1/2 every row goes to numpy unmapped
-    mapped = []
-    bounded = rng._bounded
-
-    def spy(raw, M, out):
-        mapped.append((M, len(raw)))
-        return bounded(raw, M, out)
-    monkeypatch.setattr(rng, "_bounded", spy)
-    ids = [0, 7, 2**64 - 1]
-    for M, kept, sent in ((_REJECTING, (1, 2), (3, 42, 301)),
-                          (2**31 + 1, (1,), (2, 3, 42))):
-        for count in kept + sent:
-            mapped.clear()
-            rows = RngSpec(2).integer_rows(ids, M, count)
-            assert mapped == ([(M, len(ids))] if count in kept else [])
-            for row, k in zip(rows, ids):
-                assert np.array_equal(row, _integers(2, k, M, count))
-
-
 def test_integer_rows_refuse_M_numpy_cannot_draw():
     for M in (0, -3, 2**63, 2**70):
         with pytest.raises(ValueError, match=r"M must lie in \[1, 2\^63\)"):
@@ -873,6 +851,57 @@ _MODELS = {
     "coupling": (scheduling, partial(cv.coupling_check, 3, 2, 25),
                  partial(coupling_replica, M=3, k=2, depth=25), 2 * 26),
 }
+
+
+# every Monte Carlo entry point, run on a spec at a size where most of
+# its draws are blocks of many replicas
+_ENTRY_POINTS = {
+    "psi_curve_mc": partial(cv.psi_curve_mc, 0.5, [5, 300], 500),
+    "psi_mc": partial(cv.psi_mc, 0.3, 20, 2000),
+    "embed_prob_mc": partial(cv.embed_prob_mc, cv.alternating_word(8), 3,
+                             1000),
+    "embed_survival_mc": partial(cv.embed_survival_mc, 2, 8, 0.5, 0.5, 1000),
+    "ab_scan": partial(cv.ab_scan, 0.5, 3, 1500, budget=20),
+    "block_good_mc": partial(cv.block_good_mc, 0.5, 2, 20000),
+    "column_percolation_mc": partial(cv.column_percolation_mc, _MU, 8, 1000),
+    "survival_curve_mc": partial(cv.survival_curve_mc, 3, [10, 100], 400),
+    "coupling_check": partial(cv.coupling_check, 3, 2, 100, 400),
+    "undirected_mc": partial(cv.undirected_mc, 3, 30, 1200),
+}
+_ROW_METHODS = ("uniform_rows", "bernoulli_rows", "integer_rows")
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_row_methods_get_one_row_or_one_block(monkeypatch, name):
+    # the row methods draw every id they are handed at once, so each
+    # caller hands them one row or a block of at most BLOCK_LETTERS letters
+    shapes = []
+
+    def spy(method):
+        def draw(self, *args, **kwargs):
+            rows = method(self, *args, **kwargs)
+            shapes.append(rows.shape)
+            return rows
+        return draw
+    for attr in _ROW_METHODS:
+        monkeypatch.setattr(RngSpec, attr, spy(getattr(RngSpec, attr)))
+    _ENTRY_POINTS[name](RngSpec(5))
+    assert max(shape[0] for shape in shapes) > 1
+    assert all(shape[0] == 1 or np.prod(shape) <= BLOCK_LETTERS
+               for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_points_refuse_a_stream_id(monkeypatch, name):
+    # replica k draws from streams of the master seed alone, so a stream id
+    # would be recorded in the estimate and not used: two specs that differ
+    # only in it gave the same estimate.  It is refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn before the refusal")
+    for attr in _ROW_METHODS:
+        monkeypatch.setattr(RngSpec, attr, no_draw)
+    with pytest.raises(ValueError, match="stream id 7 refused"):
+        _ENTRY_POINTS[name](RngSpec(1, 7))
 
 
 @pytest.mark.parametrize("model", sorted(_MODELS))
