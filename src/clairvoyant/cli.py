@@ -58,6 +58,11 @@ def _est(e: Estimate) -> dict:
     return {"estimate": e.mean, "stderr": e.stderr, "replicas": e.replicas}
 
 
+def _fields_row(record) -> list[dict]:
+    """One row of a record's fields, in order."""
+    return [{f: getattr(record, f) for f in record._fields}]
+
+
 def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
@@ -131,9 +136,7 @@ def _do_embed_recursion(args):
 
 
 def _do_embed_roots(args):
-    r = emb.char_roots(args.M)
-    return [{"M": args.M, "r_small": r.r_small, "r_large": r.r_large,
-             "health": r.health}]
+    return _fields_row(emb.char_roots(args.M))
 
 
 def _do_embed_scan(args):
@@ -144,10 +147,7 @@ def _do_embed_scan(args):
 
 
 def _do_embed_moments(args):
-    rep = emb.moment_report(args.n, args.M)
-    return [{"n": rep.n, "M": rep.M, "mean": rep.mean,
-             "second_moment_ratio": rep.second_moment_ratio,
-             "growth_estimate": rep.growth_estimate}]
+    return _fields_row(emb.moment_report(args.n, args.M))
 
 
 def _do_embed_mc(args):
@@ -210,9 +210,9 @@ def _do_schedule_curve(args):
 
 def _do_schedule_coupling(args):
     _check_walk_letters(args.k * args.M, "--k times --M")
-    rep = sched.coupling_check(args.M, args.k, args.depth, args.replicas,
-                               RngSpec(args.seed), workers=args.workers)
-    return [{f: getattr(rep, f) for f in rep._fields}]
+    return _fields_row(sched.coupling_check(
+        args.M, args.k, args.depth, args.replicas, RngSpec(args.seed),
+        workers=args.workers))
 
 
 def _do_schedule_undirected(args):

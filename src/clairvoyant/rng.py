@@ -21,8 +21,9 @@ numpy pass of Philox4x64-10 over every (stream, counter) pair, bit for
 bit numpy's own Philox; rows longer than ``BATCHED_LETTERS`` come from
 `_rewound`, which rewinds one generator to each stream of the array in
 turn.  :meth:`RngSpec.bernoulli_rows` compares uniforms with densities;
-a row past ``runner.BLOCK_LETTERS`` letters is drawn that many uniforms
-at a time, so it costs one byte a letter however long it is.
+past the batched pass, a block of more than ``runner.BLOCK_LETTERS``
+letters is drawn a row and at most that many uniforms at a time, so it
+costs one byte a letter however long it is.
 :meth:`RngSpec.integer_rows` draws what each stream's ``integers(1, M +
 1)`` gives: it maps the rows' raw words in one pass, as numpy does by
 Lemire's multiply-and-shift ``((u M) >> 32) + 1``, and hands back to
@@ -263,20 +264,23 @@ class RngSpec(Record):
         Row i equals ``self.stream(k_i).generator().random(probs.shape) <
         probs`` for the i-th id k_i, in a matrix of shape ``(len(ids),) +
         probs.shape``.  A NaN density gives false, as ``u < NaN`` does.
-        Rows of at most ``BLOCK_LETTERS`` letters compare `uniform_rows`;
-        a longer row is drawn in consecutive slices of ``BLOCK_LETTERS``
-        uniforms, since ``random(out=...)`` continues the stream, so it
-        holds one byte a letter plus one slice.
+        Rows from the batched pass (at most ``BATCHED_LETTERS`` letters),
+        and blocks of at most ``BLOCK_LETTERS`` letters, compare
+        `uniform_rows`; otherwise each row is drawn in consecutive slices
+        of at most ``BLOCK_LETTERS`` uniforms, since ``random(out=...)``
+        continues the stream, so the block holds one byte a letter plus
+        one slice.
         """
         probs = np.asarray(probs, dtype=float)
         ids = _id_array(ids)
         p = probs.reshape(-1)
         letters = len(p)
-        if letters <= BLOCK_LETTERS:
+        if (letters <= BATCHED_LETTERS
+                or len(ids) * letters <= BLOCK_LETTERS):
             out = self.uniform_rows(ids, letters) < p
         else:
             out = np.empty((len(ids), letters), bool)
-            u = np.empty(BLOCK_LETTERS)
+            u = np.empty(min(letters, BLOCK_LETTERS))
             for row, gen in zip(out, _rewound(self.master_seed, ids)):
                 for a in range(0, letters, BLOCK_LETTERS):
                     b = min(a + BLOCK_LETTERS, letters)

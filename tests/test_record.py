@@ -2,11 +2,13 @@
 as frozen dataclasses, with the strings the dataclasses printed."""
 
 import copy
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
+import clairvoyant  # noqa: F401  (defines every value class)
 from clairvoyant._record import FrozenInstanceError, Record
 from clairvoyant.embedding import recursion_params
 from clairvoyant.environment import FiniteDistribution, sample_environment
@@ -90,6 +92,22 @@ def test_cached_property_leaves_equality_alone():
     assert repr(mu) == repr(other)
 
 
+def test_signature_is_the_fields_with_their_defaults():
+    # every value class the package defines, each with its own __init__;
+    # a test's own subclasses are left out
+    classes = [cls for cls in Record.__subclasses__()
+               if cls.__module__.startswith("clairvoyant.")]
+    assert len(classes) == 22
+    for cls in classes:
+        params = inspect.signature(cls).parameters.values()
+        assert tuple(p.name for p in params) == cls._fields
+        for p in params:
+            assert p.kind is p.POSITIONAL_OR_KEYWORD
+            assert p.default == cls.__dict__.get(p.name, p.empty)
+    assert str(inspect.signature(RngSpec)) == "(master_seed, stream_id=0)"
+    assert RngSpec.__init__.__qualname__ == "RngSpec.__init__"
+
+
 def test_defaults_and_keywords():
     assert RngSpec(1).stream_id == 0
     assert RngSpec(stream_id=2, master_seed=1) == RngSpec(1, 2)
@@ -98,10 +116,12 @@ def test_defaults_and_keywords():
 
 
 @pytest.mark.parametrize("call, says", [
-    (lambda: RngSpec(), "missing required argument(s): 'master_seed'"),
-    (lambda: Word(5), "missing required argument(s): 'n'"),
+    (lambda: RngSpec(),
+     "missing 1 required positional argument: 'master_seed'"),
+    (lambda: Word(5), "missing 1 required positional argument: 'n'"),
     (lambda: RngSpec(1, foo=2), "unexpected keyword argument 'foo'"),
-    (lambda: RngSpec(1, 2, 3), "takes at most 2 arguments (3 given)"),
+    (lambda: RngSpec(1, 2, 3),
+     "takes from 2 to 3 positional arguments but 4 were given"),
     (lambda: RngSpec(1, master_seed=2),
      "multiple values for argument 'master_seed'"),
 ])

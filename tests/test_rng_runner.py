@@ -451,6 +451,24 @@ def test_bernoulli_rows_of_long_rows_hold_a_byte_a_letter():
     assert peak < 2 * letters
 
 
+def test_bernoulli_rows_of_a_block_past_block_letters_hold_one_row():
+    # two rows of 40000 letters, compat mc's replica block at n 40000, fit
+    # BLOCK_LETTERS one row at a time but not together: held as one
+    # float64 matrix they peak at 0.72 MB, drawn a row at a time at 0.40
+    letters = 40_000
+    assert letters <= BLOCK_LETTERS < 2 * letters
+    probs = np.full(letters, 0.2)
+    want = [_fresh(1, k).random(letters) < probs for k in (0, 1)]
+    tracemalloc.start()
+    try:
+        rows = RngSpec(1).bernoulli_rows([0, 1], probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, want)
+    assert peak < 500_000
+
+
 def _int32_then_buffer_crossing(g):
     # 3 int32 draws leave a spare half-word (has_uint32 set), then 7
     # uniforms cross the 4-word output buffer.  The range is a power of 2,
